@@ -308,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo run from a config file")
     p.add_argument("config")
     p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timing", action="store_true", help="emit measured elapsed_s")
     p.set_defaults(func=cmd_simulate)
 

@@ -19,7 +19,21 @@ State and window indexing (fixed once, used everywhere):
   * a transition window holds codes (c1..c7) for qubits 5i+1..5i+7, where
     (c1,c2) is the predecessor pair, (c3,c4,c5) the middle triple, and
     (c6,c7) the successor pair;
-  * the four syndrome bits of stage i are packed little-endian into a nibble.
+  * the four syndrome bits of stage i are packed little-endian into a nibble;
+  * a middle triple is indexed t = c3 + 4*c4 + 16*c5, and a branch, the
+    (predecessor pair, middle triple) a survivor extends, as 64*j + t.
+
+One kernel.  Every caller runs the same forward pass (``_forward``) and the
+same traceback (``_traceback``) over a (B, 4N+2) syndrome matrix:
+:func:`decode_batch` with B trials, :func:`viterbi_decode` with B = 1, and
+:func:`survivor_merge_lag` reading the per-stage choices and metrics.  Per
+stage, the 16 survivor metrics plus the stage's 64 triple metrics give the
+(B, 16 x 64) metric of every branch; the nibble's table gathers each
+successor's 64 candidate branches from it, the successor-pair metric is
+added, and an argmax over the 64 slots picks each survivor.  Pair and triple
+metrics are summed for all stages up front, so a stage costs one broadcast
+add, one gather and a few reductions however many trials it carries.  The
+traceback records branch indices and unpacks the codes once at the end.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -64,8 +78,9 @@ MAX_BRUTE_FORCE_QUBITS = 12
 
 METRIC_SCALE_BITS = 30
 # Dead-branch sentinel: far below any real path metric (worst case is about
-# -745 * 2^30 per qubit), yet small enough that the six unclamped additions
-# inside one trellis stage cannot overflow int64 even if every term is dead.
+# -745 * 2^30 per qubit), yet small enough that a stage's unclamped sum of a
+# survivor metric and five per-qubit terms cannot overflow int64 even if
+# every term is dead.
 DEAD_METRIC = np.int64(-(2 ** 59))
 
 # Single-qubit symplectic form on codes: SP1[a, b] = 1 iff the letters anticommute.
@@ -103,18 +118,15 @@ class _TrellisTables:
     """Stage-invariant transition structure, shared by every decode.
 
     For each syndrome nibble s, the 1024 windows satisfying the four block
-    constraints are bucketed as (16 successor states) x (64 extensions),
-    presorted by the tie-break key, so per stage the decoder only gathers,
-    adds, and takes a row-wise argmax (numpy argmax returns the first
-    maximum, i.e. the tie-break winner).
+    constraints are bucketed as (16 successor states) x (64 slots), presorted
+    by the tie-break key.  A slot names its branch, the (predecessor state,
+    middle triple) it extends, as 64 * state + triple.  A stage's candidates
+    are gathered from the (B, 16 x 64) sums metrics[state] + triple metric
+    and offset by the successor-pair metric; numpy's argmax over the slots
+    returns the first maximum, i.e. the tie-break winner.
     """
 
-    j: np.ndarray        # (16, 16, 64) predecessor state per (nibble, k, slot)
-    c3: np.ndarray       # (16, 16, 64) middle-triple codes
-    c4: np.ndarray
-    c5: np.ndarray
-    k6: np.ndarray       # (16, 64) successor-pair codes (nibble-independent)
-    k7: np.ndarray
+    branch: np.ndarray     # (16, 16, 64) uint16 per (nibble, successor, slot)
     start_bit: np.ndarray  # (16,) syndrome bit of the opening boundary generator
     end_bit: np.ndarray    # (16,) same for the closing boundary generator
     end_order: np.ndarray  # (16,) states sorted by the tie-break key
@@ -132,10 +144,11 @@ def _tables() -> _TrellisTables:
             bit ^= _SP1[c[g + offset], letter]
         sig |= bit << g
 
-    j = (c[0].astype(np.int16) * 4 + c[1]).astype(np.uint8)
-    k = (c[5].astype(np.int16) * 4 + c[6]).astype(np.uint8)
+    state = c[0].astype(np.uint16) * 4 + c[1]
+    branch = state * 64 + c[2] + c[3] * 4 + c[4] * 16
+    k = (c[5] * 4 + c[6]).astype(np.uint8)
 
-    j_buckets, c3_b, c4_b, c5_b = [], [], [], []
+    buckets = []
     for s in range(16):
         idx = np.flatnonzero(sig == s)
         if idx.size != 1024:
@@ -143,13 +156,9 @@ def _tables() -> _TrellisTables:
         # sort by successor state, then by the reversed-read tie-break key
         order = np.lexsort((c[0][idx], c[1][idx], c[2][idx], c[3][idx], c[4][idx], k[idx]))
         idx = idx[order]
-        k_rows = k[idx].reshape(16, 64)
-        if not (k_rows == np.arange(16, dtype=np.uint8)[:, None]).all():
+        if not (k[idx].reshape(16, 64) == np.arange(16, dtype=np.uint8)[:, None]).all():
             raise AssertionError(f"nibble {s}: successor states are not uniform")
-        j_buckets.append(j[idx].reshape(16, 64))
-        c3_b.append(c[2][idx].reshape(16, 64))
-        c4_b.append(c[3][idx].reshape(16, 64))
-        c5_b.append(c[4][idx].reshape(16, 64))
+        buckets.append(branch[idx].reshape(16, 64))
 
     pair_first = (_ROWS16 >> 2).astype(np.uint8)
     pair_second = (_ROWS16 & 3).astype(np.uint8)
@@ -158,16 +167,115 @@ def _tables() -> _TrellisTables:
     end_order = np.lexsort((pair_first, pair_second))
 
     return _TrellisTables(
-        j=np.stack(j_buckets),
-        c3=np.stack(c3_b),
-        c4=np.stack(c4_b),
-        c5=np.stack(c5_b),
-        k6=np.repeat(pair_first, 64).reshape(16, 64),
-        k7=np.repeat(pair_second, 64).reshape(16, 64),
+        branch=np.stack(buckets),
         start_bit=start_bit,
         end_bit=end_bit,
         end_order=end_order.astype(np.intp),
     )
+
+
+def _segment_metrics(mt: np.ndarray):
+    """Unclamped metric sums of every boundary pair and middle triple.
+
+    Returns (N+1, 16) pair metrics, row i for qubits 5i+1..5i+2, and (N, 64)
+    triple metrics, row i for qubits 5i+3..5i+5, indexed as in the tables.
+    """
+    pairs = (mt[0::5, :, None] + mt[1::5, None, :]).reshape(-1, 16)
+    triples = (mt[4::5, :, None, None] + mt[3::5, None, :, None] + mt[2::5, None, None, :])
+    return pairs, triples.reshape(-1, 64)
+
+
+def _nibbles(syndromes: np.ndarray) -> np.ndarray:
+    """(B, N) uint8: each stage's four syndrome bits packed little-endian."""
+    B, width = syndromes.shape
+    blocks = syndromes[:, 1:-1].reshape(B, (width - 2) // 4, 4)
+    return np.packbits(blocks, axis=2, bitorder="little")[:, :, 0]
+
+
+def _stage(tab: _TrellisTables, metrics, triple_metrics, pair_metrics, nib, rows, rng):
+    """One trellis stage: (slot choice, tied, metrics) of the 16 new survivors.
+
+    Temporaries die on return, so the (B, 16, 64) candidates of consecutive
+    stages never coexist.
+    """
+    cand = (metrics[:, :, None] + triple_metrics).reshape(-1, 1024)[rows, tab.branch[nib]]
+    cand += pair_metrics[:, None]
+    np.maximum(cand, DEAD_METRIC, out=cand)
+    metrics = cand.max(axis=2)
+    best = cand == metrics[:, :, None]
+    if rng is None:
+        choice = cand.argmax(axis=2)
+    else:
+        choice = np.where(best, rng.random(cand.shape), -1.0).argmax(axis=2)
+    tied = best.sum(axis=2) > 1
+    tied &= metrics > DEAD_METRIC
+    return choice, tied, metrics
+
+
+def _forward(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, nibs: np.ndarray, rng=None):
+    """The trellis recursion over a (B, 4N+2) 0/1 syndrome matrix.
+
+    Yields, after each stage, the slot each of the 16 survivors extends,
+    whether its best slot was tied, and the survivor metrics, each (B, 16).
+    Without ``rng`` the choice is the first best slot (the tie-break order);
+    with one it is uniform among the best slots.
+    """
+    pairs, triples = _segment_metrics(mt)
+    metrics = np.where(
+        tab.start_bit == syndromes[:, :1], np.maximum(pairs[0], DEAD_METRIC), DEAD_METRIC
+    )
+    rows = np.arange(len(syndromes))[:, None, None]
+    for i in range(nibs.shape[1]):
+        choice, tied, metrics = _stage(tab, metrics, triples[i], pairs[i + 1], nibs[:, i], rows, rng)
+        yield choice, tied, metrics
+
+
+def _traceback(tab: _TrellisTables, nibs: np.ndarray, back: np.ndarray, ties: np.ndarray, k):
+    """Codes (B, n) of the survivors ending in states ``k``, and whether any
+    stage on their paths was tied."""
+    N, B = back.shape[:2]
+    rows = np.arange(B)
+    codes = np.empty((B, 5 * N + 2), dtype=np.uint8)
+    steps = np.empty((N, B), dtype=np.uint16)
+    states = np.empty((N + 1, B), dtype=np.uint8)
+    states[N] = k
+    for i in reversed(range(N)):
+        steps[i] = tab.branch[nibs[:, i], k, back[i, rows, k]]
+        k = steps[i] >> 6
+    states[:N] = steps >> 6
+    tied = ties[np.arange(N)[:, None], rows, states[1:]].any(axis=0)
+    codes[:, 0::5] = (states >> 2).T
+    codes[:, 1::5] = (states & 3).T
+    codes[:, 2::5] = (steps & 3).T
+    codes[:, 3::5] = ((steps >> 2) & 3).T
+    codes[:, 4::5] = ((steps >> 4) & 3).T
+    return codes, tied
+
+
+def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None):
+    """Forward pass, final boundary and traceback for a (B, 4N+2) 0/1 matrix.
+
+    Returns (codes, tie_broken, feasible); rows that are not feasible carry
+    arbitrary codes.
+    """
+    nibs = _nibbles(syndromes)
+    B, N = nibs.shape
+    back = np.empty((N, B, 16), dtype=np.uint8)
+    ties = np.empty((N, B, 16), dtype=bool)
+    for i, (choice, tied, metrics) in enumerate(_forward(tab, mt, syndromes, nibs, rng)):
+        back[i] = choice
+        ties[i] = tied
+
+    final = np.where(tab.end_bit == syndromes[:, -1:], metrics, DEAD_METRIC)
+    best = final.max(axis=1)
+    ordered = final[:, tab.end_order]
+    if rng is None:
+        k = tab.end_order[ordered.argmax(axis=1)]
+    else:
+        k = np.array([rng.choice(tab.end_order[row == row.max()]) for row in ordered])
+    codes, path_tied = _traceback(tab, nibs, back, ties, k)
+    tie_broken = path_tied | ((final == best[:, None]).sum(axis=1) > 1)
+    return codes, tie_broken, best > DEAD_METRIC
 
 
 @dataclass(frozen=True)
@@ -185,28 +293,7 @@ def _check_inputs(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndr
         raise ValueError(f"syndrome has {len(syn.bits)} bits, expected {expected}")
     if any(b not in (0, 1) for b in syn.bits):
         raise ValueError("syndrome bits must be 0 or 1")
-    return syn.bits
-
-
-def _nibble(bits, i: int) -> int:
-    return bits[4 * i + 1] | bits[4 * i + 2] << 1 | bits[4 * i + 3] << 2 | bits[4 * i + 4] << 3
-
-
-def _initial_metrics(tab: _TrellisTables, mt: np.ndarray, first_bit: int) -> np.ndarray:
-    init = mt[0][_ROWS16 >> 2] + mt[1][_ROWS16 & 3]
-    init = np.maximum(init, DEAD_METRIC)
-    return np.where(tab.start_bit == first_bit, init, DEAD_METRIC)
-
-
-def _stage_candidates(tab: _TrellisTables, mt: np.ndarray, metrics: np.ndarray, i: int, nib: int):
-    base = 5 * i
-    cand = metrics[tab.j[nib]]
-    cand = cand + mt[base + 2][tab.c3[nib]]
-    cand = cand + mt[base + 3][tab.c4[nib]]
-    cand = cand + mt[base + 4][tab.c5[nib]]
-    cand = cand + mt[base + 5][tab.k6]
-    cand = cand + mt[base + 6][tab.k7]
-    return np.maximum(cand, DEAD_METRIC)
+    return np.array([syn.bits], dtype=np.uint8)
 
 
 def viterbi_decode(
@@ -222,7 +309,7 @@ def viterbi_decode(
     ``tie_mode="random"`` requires ``rng`` (seed or Generator) and picks
     uniformly among tied candidates.
     """
-    bits = _check_inputs(code, schedule, syn)
+    syndromes = _check_inputs(code, schedule, syn)
     if tie_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
     if tie_mode == "random":
@@ -230,55 +317,11 @@ def viterbi_decode(
             raise ValueError("tie_mode='random' requires an explicit rng or seed")
         rng = make_rng(rng)
 
-    tab = _tables()
-    N = code.blocks
-    mt = metric_table(schedule)
-
-    metrics = _initial_metrics(tab, mt, bits[0])
-    back = np.empty((N, 16), dtype=np.uint8)
-    ties = np.zeros((N, 16), dtype=bool)
-    for i in range(N):
-        nib = _nibble(bits, i)
-        cand = _stage_candidates(tab, mt, metrics, i, nib)
-        if tie_mode == "random":
-            row_best = cand.max(axis=1)
-            jitter = np.where(cand == row_best[:, None], rng.random(cand.shape), -1.0)
-            choice = np.argmax(jitter, axis=1)
-        else:
-            choice = np.argmax(cand, axis=1)
-        metrics = cand[_ROWS16, choice]
-        ties[i] = (cand == metrics[:, None]).sum(axis=1) > 1
-        ties[i] &= metrics > DEAD_METRIC
-        back[i] = choice
-
-    final_vals = np.where(tab.end_bit == bits[-1], metrics, DEAD_METRIC)
-    if final_vals.max() <= DEAD_METRIC:
+    codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes, rng)
+    if not feasible[0]:
         raise InfeasibleSyndromeError("no positive-probability error matches this syndrome")
-    ordered = final_vals[tab.end_order]
-    if tie_mode == "random":
-        best = ordered.max()
-        k = int(rng.choice(tab.end_order[ordered == best]))
-    else:
-        k = int(tab.end_order[int(np.argmax(ordered))])
-    tie_broken = int((ordered == final_vals[k]).sum()) > 1
-
-    codes = np.zeros(code.n, dtype=np.uint8)
-    for i in reversed(range(N)):
-        nib = _nibble(bits, i)
-        t = int(back[i][k])
-        base = 5 * i
-        codes[base + 5] = k >> 2
-        codes[base + 6] = k & 3
-        codes[base + 2] = tab.c3[nib][k, t]
-        codes[base + 3] = tab.c4[nib][k, t]
-        codes[base + 4] = tab.c5[nib][k, t]
-        tie_broken = tie_broken or bool(ties[i][k])
-        k = int(tab.j[nib][k, t])
-    codes[0] = k >> 2
-    codes[1] = k & 3
-
-    error = pauli_from_codes(codes)
-    return DecodeResult(error, log_likelihood(schedule, error), bool(tie_broken))
+    error = pauli_from_codes(codes[0])
+    return DecodeResult(error, log_likelihood(schedule, error), bool(tie_broken[0]))
 
 
 @dataclass(frozen=True)
@@ -298,68 +341,17 @@ def decode_batch(
     identical to :func:`viterbi_decode`; trials are independent, so chunking
     a workload differently cannot change any answer.
     """
-    syndromes = np.asarray(syndromes, dtype=np.uint8)
+    syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
         raise ValueError(f"syndromes must have shape (trials, {4 * code.blocks + 2})")
     if schedule.n != code.n:
         raise ValueError(f"schedule covers {schedule.n} qubits, code has {code.n}")
+    if ((syndromes != 0) & (syndromes != 1)).any():
+        raise ValueError("syndrome bits must be 0 or 1")
+    syndromes = syndromes.astype(np.uint8, copy=False)
 
-    tab = _tables()
-    N = code.blocks
-    B = syndromes.shape[0]
-    mt = metric_table(schedule)
-    weights_nib = np.array([1, 2, 4, 8], dtype=np.uint8)
-    nibs = (syndromes[:, 1:4 * N + 1].reshape(B, N, 4) * weights_nib).sum(axis=2).astype(np.intp)
-
-    pair_first = _ROWS16 >> 2
-    pair_second = _ROWS16 & 3
-    init = np.maximum(mt[0][pair_first] + mt[1][pair_second], DEAD_METRIC)
-    metrics = np.where(tab.start_bit[None, :] == syndromes[:, :1], init[None, :], DEAD_METRIC)
-
-    rows = np.arange(B)
-    back = np.empty((N, B, 16), dtype=np.uint8)
-    ties = np.zeros((N, B, 16), dtype=bool)
-    for i in range(N):
-        nib = nibs[:, i]
-        base = 5 * i
-        jj = tab.j[nib]
-        cand = np.take_along_axis(metrics[:, None, :], jj.astype(np.intp), axis=2)
-        cand = cand + mt[base + 2][tab.c3[nib]]
-        cand = cand + mt[base + 3][tab.c4[nib]]
-        cand = cand + mt[base + 4][tab.c5[nib]]
-        cand = cand + mt[base + 5][tab.k6[None, :, :]]
-        cand = cand + mt[base + 6][tab.k7[None, :, :]]
-        cand = np.maximum(cand, DEAD_METRIC)
-        choice = np.argmax(cand, axis=2)
-        metrics = np.take_along_axis(cand, choice[:, :, None], axis=2)[:, :, 0]
-        ties[i] = (cand == metrics[:, :, None]).sum(axis=2) > 1
-        ties[i] &= metrics > DEAD_METRIC
-        back[i] = choice
-
-    final_vals = np.where(tab.end_bit[None, :] == syndromes[:, -1:], metrics, DEAD_METRIC)
-    feasible = final_vals.max(axis=1) > DEAD_METRIC
-    ordered = final_vals[:, tab.end_order]
-    pos = np.argmax(ordered, axis=1)
-    k = tab.end_order[pos]
-    tie_broken = (ordered == final_vals[rows, k][:, None]).sum(axis=1) > 1
-
-    codes = np.zeros((B, code.n), dtype=np.uint8)
-    k = k.astype(np.intp)
-    for i in reversed(range(N)):
-        nib = nibs[:, i]
-        t = back[i][rows, k].astype(np.intp)
-        base = 5 * i
-        codes[:, base + 5] = k >> 2
-        codes[:, base + 6] = k & 3
-        codes[:, base + 2] = tab.c3[nib, k, t]
-        codes[:, base + 3] = tab.c4[nib, k, t]
-        codes[:, base + 4] = tab.c5[nib, k, t]
-        tie_broken |= ties[i][rows, k]
-        k = tab.j[nib, k, t].astype(np.intp)
-    codes[:, 0] = k >> 2
-    codes[:, 1] = k & 3
+    codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes)
     codes[~feasible] = 0
-
     logp = schedule.log_prob_by_code()
     ll = logp[0][codes[:, 0]]
     for q in range(1, code.n):
@@ -462,11 +454,8 @@ def brute_force_table(code: ConvolutionalCode, schedule: ChannelSchedule):
 def initial_live_count(code: ConvolutionalCode, schedule: ChannelSchedule, bit: int) -> int:
     """Boundary-pair candidates consistent with the first syndrome bit and
     having positive probability."""
-    logp = schedule.log_prob_by_code()
-    tab = _tables()
-    alive = tab.start_bit == bit
-    alive &= np.isfinite(logp[0][_ROWS16 >> 2]) & np.isfinite(logp[1][_ROWS16 & 3])
-    return int(alive.sum())
+    pairs, _ = _segment_metrics(metric_table(schedule))
+    return int(((_tables().start_bit == bit) & (pairs[0] > DEAD_METRIC)).sum())
 
 
 def transition_live_count(
@@ -485,17 +474,11 @@ def transition_live_count(
         raise ValueError("expected four 0/1 syndrome bits")
     nib = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
     tab = _tables()
-    logp = schedule.log_prob_by_code()
-    base = 5 * stage
-    j = tab.j[nib]
-    finite = np.isfinite(logp[base + 0][j >> 2])
-    finite &= np.isfinite(logp[base + 1][j & 3])
-    finite &= np.isfinite(logp[base + 2][tab.c3[nib]])
-    finite &= np.isfinite(logp[base + 3][tab.c4[nib]])
-    finite &= np.isfinite(logp[base + 4][tab.c5[nib]])
-    finite &= np.isfinite(logp[base + 5][tab.k6])
-    finite &= np.isfinite(logp[base + 6][tab.k7])
-    return int(finite.sum())
+    pairs, triples = _segment_metrics(metric_table(schedule))
+    # a window sum stays above the sentinel iff none of its seven terms is dead
+    branches = (pairs[stage][:, None] + triples[stage]).ravel()
+    window = branches[tab.branch[nib]] + pairs[stage + 1][:, None]
+    return int((window > DEAD_METRIC).sum())
 
 
 def survivor_merge_lag(
@@ -509,24 +492,17 @@ def survivor_merge_lag(
     merge.  This quantifies how far behind the stream an eager decoder would
     trail; the normative decoder always waits for the final boundary bit.
     """
-    bits = _check_inputs(code, schedule, syn)
+    syndromes = _check_inputs(code, schedule, syn)
     tab = _tables()
-    N = code.blocks
-    mt = metric_table(schedule)
-
-    metrics = _initial_metrics(tab, mt, bits[0])
-    live_masks = [metrics > DEAD_METRIC]
-    preds = []
-    for i in range(N):
-        cand = _stage_candidates(tab, mt, metrics, i, _nibble(bits, i))
-        choice = np.argmax(cand, axis=1)
-        metrics = cand[_ROWS16, choice]
-        preds.append(tab.j[_nibble(bits, i)][_ROWS16, choice])
-        live_masks.append(metrics > DEAD_METRIC)
+    nibs = _nibbles(syndromes)
+    preds, live = [], []
+    for i, (choice, _, metrics) in enumerate(_forward(tab, metric_table(schedule), syndromes, nibs)):
+        preds.append(tab.branch[nibs[0, i], _ROWS16, choice[0]] >> 6)
+        live.append(np.flatnonzero(metrics[0] > DEAD_METRIC))
 
     lags = []
-    for s in range(1, N + 1):
-        states = {int(k) for k in np.flatnonzero(live_masks[s])}
+    for s in range(1, code.blocks + 1):
+        states = {int(k) for k in live[s - 1]}
         cur = s
         while len(states) > 1 and cur > 0:
             states = {int(preds[cur - 1][k]) for k in states}

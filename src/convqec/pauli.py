@@ -47,8 +47,14 @@ class Pauli:
         return 2 * ((self.x >> (q - 1)) & 1) + ((self.z >> (q - 1)) & 1)
 
     def codes(self) -> list[int]:
-        """Per-qubit codes for qubits 1..n."""
-        return [self.code_at(q) for q in range(1, self.n + 1)]
+        """Per-qubit codes for qubits 1..n.
+
+        Reads one binary numeral per part, so the cost is linear in n (a
+        shift per qubit would be quadratic).
+        """
+        xs = format(self.x, f"0{self.n}b")[::-1]
+        zs = format(self.z, f"0{self.n}b")[::-1]
+        return [2 * (a == "1") + (b == "1") for a, b in zip(xs, zs)]
 
     def support(self) -> list[int]:
         """1-based positions of the non-identity tensor factors."""

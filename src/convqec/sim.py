@@ -115,6 +115,8 @@ def run_trials(
     """Sample/decode/classify ``trials`` times; bit-reproducible per seed."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if chunk_size < 1:
+        raise ValueError("chunk_size must be >= 1")
     start = time.perf_counter()
     rng = make_rng(np.random.SeedSequence(master_seed))
     logical_errors = 0

@@ -119,6 +119,13 @@ def test_simulate_zero_noise(tmp_path, capsys):
     assert lines[1].split(",")[5] == "0.0"
 
 
+def test_simulate_has_no_jobs_option(tmp_path, capsys):
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"blocks": 1, "channel": DEPOL, "trials": 10, "seed": 1}))
+    assert run_cli("simulate", str(config), "--jobs", "2") == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
 def test_simulate_strict_config(tmp_path, capsys):
     config = tmp_path / "sim.json"
     config.write_text(json.dumps({
@@ -211,12 +218,19 @@ def test_unknown_command_exits_2():
 
 
 def test_console_script_entry_point():
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import convqec
+
+    # the child imports the same convqec as this session, installed or not
+    package_root = str(Path(convqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "convqec.cli", "--version"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "convqec" in proc.stdout

@@ -110,8 +110,19 @@ def test_brute_force_refuses_large_codes():
 
 def test_syndrome_length_validation():
     code = build_code(2)
+    schedule = depolarizing(12, 0.01)
     with pytest.raises(ValueError, match="expected 10"):
-        viterbi_decode(code, depolarizing(12, 0.01), Syndrome((0,) * 9))
+        viterbi_decode(code, schedule, Syndrome((0,) * 9))
+    # values other than 0/1, including ones a uint8 cast would wrap or index with
+    for position, value, dtype in [
+        (3, 2, np.uint8), (3, 255, np.uint8), (3, 256, np.int64), (0, -1, np.int64), (9, 0.5, float),
+    ]:
+        bits = [0] * 10
+        bits[position] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            viterbi_decode(code, schedule, Syndrome(tuple(bits)))
+        with pytest.raises(ValueError, match="0 or 1"):
+            decode_batch(code, schedule, np.array([[0] * 10, bits], dtype=dtype))
 
 
 def test_initial_live_count_is_eight():
@@ -248,6 +259,32 @@ def test_random_tie_mode_is_seeded_and_explores_ties():
     assert first.log_likelihood == deterministic.log_likelihood
 
 
+# Random-mode picks recorded from the decoder for a tie-rich N = 2 channel:
+# (syndrome bits, deterministic winner, winners for rng seeds 0..3).
+RANDOM_TIE_PINS = [
+    ("1100000010", "YIIIIIIIIIZI", ["YIIIIIIIIIZI", "YIIIIIIIIIIX", "YIIIIIIIIIIX", "YIIIIIIIIIIX"]),
+    ("0001001110", "IIIIIXIIYIII", ["IIIIIXIIYIII", "IIIIIXIIYIII", "IIXIIIIIIYII", "IIXIIIIIIYII"]),
+    ("0110100000", "IIXYIIIIIIII", ["IIIXXIIIIIII", "IIZIIZIIIIII", "IIYIZIIIIIII", "IIXYIIIIIIII"]),
+    ("0100000000", "XIIIIIIIIIII", ["IZIIIIIIIIII", "XIIIIIIIIIII", "IZIIIIIIIIII", "IZIIIIIIIIII"]),
+    ("1110110000", "ZIIYIXIIIIII", ["IYIIZXIIIIII", "IXIXIIZIIIII", "IYIIIIXZIIII", "IYIIIIXZIIII"]),
+]
+
+
+def test_random_tie_mode_pinned_picks():
+    code = build_code(2)
+    schedule = depolarizing(code.n, 0.15)
+    for bits, winner, picks in RANDOM_TIE_PINS:
+        syn = Syndrome(tuple(int(b) for b in bits))
+        deterministic = viterbi_decode(code, schedule, syn)
+        assert str(deterministic.error) == winner
+        assert deterministic.tie_broken
+        for seed, pick in enumerate(picks):
+            result = viterbi_decode(code, schedule, syn, tie_mode="random", rng=seed)
+            assert str(result.error) == pick
+            assert result.tie_broken
+            assert result.log_likelihood == deterministic.log_likelihood
+
+
 def test_unknown_tie_mode_rejected():
     code = build_code(1)
     with pytest.raises(ValueError, match="tie_mode"):
@@ -274,3 +311,31 @@ def test_batch_syndrome_helper_matches_scalar():
     batch_bits = syndrome_bits_batch(code, mat)
     for row, e in zip(batch_bits, errors):
         assert tuple(int(b) for b in row) == syndrome_of(code, e).bits
+
+
+# Merge lags recorded from the decoder at N = 8; the second channel has
+# zero-probability components, so some survivors are dead.
+MERGE_LAG_PINS = {
+    "depolarizing": [
+        ("0000000111000000000101111001000000", [1, 2, 2, 2, 2, 2, 3, 2]),
+        ("0000110010100001100000000001110000", [1, 2, 3, 4, 2, 2, 2, 2]),
+        ("0000000000000000111000000000000000", [1, 2, 2, 2, 2, 2, 2, 2]),
+    ],
+    "sparse": [
+        ("0011101111010000111011011011100011", [1, 2, 2, 3, 2, 3, 4, 1]),
+        ("1010110111001101000111011111100001", [1, 2, 2, 3, 2, 2, 2, 1]),
+        ("0110100011110100000000001111010001", [1, 2, 2, 1, 2, 3, 3, 1]),
+    ],
+}
+
+
+def test_survivor_merge_lag_pinned():
+    code = build_code(8)
+    schedules = {
+        "depolarizing": depolarizing(code.n, 0.08),
+        "sparse": random_schedule(code.n, np.random.default_rng(3), zero_fraction=0.3),
+    }
+    for name, pins in MERGE_LAG_PINS.items():
+        for bits, lags in pins:
+            syn = Syndrome(tuple(int(b) for b in bits))
+            assert survivor_merge_lag(code, schedules[name], syn) == lags

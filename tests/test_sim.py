@@ -77,6 +77,15 @@ def test_run_trials_random_tie_mode_reproducible():
     a = run_trials(code, schedule, 200, master_seed=9, tie_mode="random")
     b = run_trials(code, schedule, 200, master_seed=9, tie_mode="random")
     assert _stats_fields(a) == _stats_fields(b)
+    # recorded from the decoder; deterministic ties give 2 on this stream
+    assert a.logical_errors == 5
+
+
+@pytest.mark.parametrize("chunk_size", [0, -5])
+def test_run_trials_rejects_nonpositive_chunk_size(chunk_size):
+    code = build_code(1)
+    with pytest.raises(ValueError, match="chunk_size"):
+        run_trials(code, depolarizing(code.n, 0.02), 10, master_seed=1, chunk_size=chunk_size)
 
 
 def test_wilson_interval_contains_rate():
