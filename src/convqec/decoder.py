@@ -20,20 +20,19 @@ State and window indexing (fixed once, used everywhere):
     (c1,c2) is the predecessor pair, (c3,c4,c5) the middle triple, and
     (c6,c7) the successor pair;
   * the four syndrome bits of stage i are packed little-endian into a nibble;
-  * a middle triple is indexed t = c3 + 4*c4 + 16*c5, and a branch, the
-    (predecessor pair, middle triple) a survivor extends, as 64*j + t.
+  * a middle triple is indexed t = c3 + 4*c4 + 16*c5.
 
-One kernel.  Every caller runs the same forward pass (``_forward``) and the
-same traceback (``_traceback``) over a (B, 4N+2) syndrome matrix:
-:func:`decode_batch` with B trials, :func:`viterbi_decode` with B = 1, and
-:func:`survivor_merge_lag` reading the per-stage choices and metrics.  Per
-stage, the 16 survivor metrics plus the stage's 64 triple metrics give the
-(B, 16 x 64) metric of every branch; the nibble's table gathers each
-successor's 64 candidate branches from it, the successor-pair metric is
-added, and an argmax over the 64 slots picks each survivor.  Pair and triple
-metrics are summed for all stages up front, so a stage costs one broadcast
-add, one gather and a few reductions however many trials it carries.  The
-traceback records branch indices and unpacks the codes once at the end.
+One kernel.  Every caller runs the same sweep (``_sweep``) and traceback
+(``_traceback``) over a (B, 4N+2) syndrome matrix: :func:`decode_batch` with
+B trials, :func:`viterbi_decode` with B = 1, and :func:`survivor_merge_lag`
+reading the per-stage choices and metrics.  A stage is an add-compare-select
+on the split syndrome described at :class:`_TrellisTables`: the best
+survivor of each class, plus the best triple of the coset that leads from
+that class to a successor class, is maximised over classes and broadcast to
+the 16 new survivors with their pair metrics.  Coset maxima are computed up
+front, so a stage costs a few (B, 16) operations.  It records only which
+survivors and classes attained their maxima; a choice pass (``_choices``)
+per chunk of stages turns that into branches and tie flags.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -54,9 +53,13 @@ toward the first (code order I < Z < X < Y).  Comparing from the newest
 qubit backwards means two tied candidates for the same survivor slot always
 differ inside the current window, so every tie resolves in O(1) and the
 linear running time survives channels with many exact ties (a depolarizing
-channel ties every equal-weight pair).  The oracle replicates the order for
-free: enumerating errors as base-4 integers with qubit 1 in the least
-significant digit makes ascending index exactly this order.
+channel ties every equal-weight pair).  Within a stage this means the
+smallest triple first, then the smallest predecessor rank 4*c2 + c1: among
+tied survivor classes the one whose coset's smallest best triple is
+smallest wins, and within it the first tied survivor.  The oracle
+replicates the order for free: enumerating errors as base-4 integers with
+qubit 1 in the least significant digit makes ascending index exactly this
+order.
 ``tie_mode="random"`` instead picks uniformly among tied candidates using a
 caller-supplied seed, matching the behavior the construction allows while
 keeping runs reproducible.
@@ -117,60 +120,60 @@ def metric_table(schedule: ChannelSchedule) -> np.ndarray:
 class _TrellisTables:
     """Stage-invariant transition structure, shared by every decode.
 
-    For each syndrome nibble s, the 1024 windows satisfying the four block
-    constraints are bucketed as (16 successor states) x (64 slots), presorted
-    by the tie-break key.  A slot names its branch, the (predecessor state,
-    middle triple) it extends, as 64 * state + triple.  A stage's candidates
-    are gathered from the (B, 16 x 64) sums metrics[state] + triple metric
-    and offset by the successor-pair metric; numpy's argmax over the slots
-    returns the first maximum, i.e. the tie-break winner.
+    The block syndrome is linear in the window's codes and splits as
+    sig_pred(c1,c2) ^ sig_mid(c3,c4,c5) ^ sig_succ(c6,c7), with sig_pred in
+    bits 0-1 and sig_succ in bits 2-3.  So the states fall into 4 classes
+    v = sig_pred and 4 successor classes w = sig_succ >> 2, the triples into
+    16 cosets of sig_mid, 4 each, and under nibble s class v reaches class w
+    through the triples of coset s ^ 4w ^ v.  Survivors sit at positions
+    4v + q, q the tie rank 4*c2 + c1 within the class; a branch is stored as
+    64 * (predecessor position) + triple.
     """
 
-    branch: np.ndarray     # (16, 16, 64) uint16 per (nibble, successor, slot)
-    start_bit: np.ndarray  # (16,) syndrome bit of the opening boundary generator
-    end_bit: np.ndarray    # (16,) same for the closing boundary generator
-    end_order: np.ndarray  # (16,) states sorted by the tie-break key
+    order: np.ndarray        # (16,) uint8 state at each position
+    succ_w: np.ndarray       # (4, 4) successor class of the state at each position
+    xor: np.ndarray          # (16, 4, 4) coset s ^ (4w + v), indexed [s, w, v]
+    members: np.ndarray      # (16, 4) uint8 triples of each coset, ascending
+    slot_branch: np.ndarray  # (16, 16, 64) uint16 per (nibble, successor state): tie order
+    slot_class: np.ndarray   # (16, 16, 64) 16 + 4w + v of each slot, w and v its two classes
+    start_bit: np.ndarray    # (16,) syndrome bit of the opening boundary generator
+    end_bit: np.ndarray      # (16,) same for the closing boundary generator
+    end_order: np.ndarray    # (16,) positions sorted by the tie-break key
 
 
 @lru_cache(maxsize=1)
 def _tables() -> _TrellisTables:
-    w = np.arange(4 ** 7, dtype=np.int32)
-    c = [((w >> (2 * t)) & 3).astype(np.uint8) for t in range(7)]
+    offset = np.arange(7)[:, None] - np.arange(4)  # window position minus generator index
+    inside = (offset >= 0) & (offset < 4)
+    letters = np.array(_BLOCK_PATTERN)[np.where(inside, offset, 0)]
+    flip = ((_SP1[:, letters] & inside) << np.arange(4)).sum(axis=2)  # nibble of code a at position p
+    first, second, t = _ROWS16 >> 2, _ROWS16 & 3, np.arange(64)
+    sig_pred = flip[first, 0] ^ flip[second, 1]
+    sig_mid = flip[t & 3, 2] ^ flip[(t >> 2) & 3, 3] ^ flip[t >> 4, 4]
+    sig_succ = flip[first, 5] ^ flip[second, 6]
+    sizes = {*np.bincount(sig_pred), *np.bincount(sig_succ >> 2), *np.bincount(sig_mid)}
+    if (sig_succ & 3).any() or sizes != {4}:
+        raise AssertionError("block syndrome does not split into predecessor, middle and successor parts")
 
-    sig = np.zeros(w.shape, dtype=np.uint8)
-    for g in range(4):
-        bit = np.zeros(w.shape, dtype=np.uint8)
-        for offset, letter in enumerate(_BLOCK_PATTERN):
-            bit ^= _SP1[c[g + offset], letter]
-        sig |= bit << g
-
-    state = c[0].astype(np.uint16) * 4 + c[1]
-    branch = state * 64 + c[2] + c[3] * 4 + c[4] * 16
-    k = (c[5] * 4 + c[6]).astype(np.uint8)
-
-    buckets = []
-    for s in range(16):
-        idx = np.flatnonzero(sig == s)
-        if idx.size != 1024:
-            raise AssertionError(f"nibble {s} has {idx.size} windows, expected 1024")
-        # sort by successor state, then by the reversed-read tie-break key
-        order = np.lexsort((c[0][idx], c[1][idx], c[2][idx], c[3][idx], c[4][idx], k[idx]))
-        idx = idx[order]
-        if not (k[idx].reshape(16, 64) == np.arange(16, dtype=np.uint8)[:, None]).all():
-            raise AssertionError(f"nibble {s}: successor states are not uniform")
-        buckets.append(branch[idx].reshape(16, 64))
-
-    pair_first = (_ROWS16 >> 2).astype(np.uint8)
-    pair_second = (_ROWS16 & 3).astype(np.uint8)
-    start_bit = _SP1[pair_first, 2] ^ _SP1[pair_second, 1]  # X on 1, Z on 2
-    end_bit = _SP1[pair_first, 1] ^ _SP1[pair_second, 2]    # Z on n-1, X on n
-    end_order = np.lexsort((pair_first, pair_second))
-
+    order = np.lexsort((4 * second + first, sig_pred))
+    succ_w = sig_succ[order] >> 2
+    # random-mode slots: each admissible triple ascending, then its class's 4 survivors
+    need = sig_mid ^ (_ROWS16[:, None, None] ^ sig_succ[:, None])  # class each triple needs
+    triples = np.nonzero(need < 4)[2].reshape(16, 16, 16)
+    classes = np.take_along_axis(need, triples, axis=2)[..., None]
+    preds = 4 * classes + np.arange(4)
+    start_bit = _SP1[first, 2] ^ _SP1[second, 1]  # X on 1, Z on 2
+    end_bit = _SP1[first, 1] ^ _SP1[second, 2]    # Z on n-1, X on n
     return _TrellisTables(
-        branch=np.stack(buckets),
-        start_bit=start_bit,
-        end_bit=end_bit,
-        end_order=end_order.astype(np.intp),
+        order=order.astype(np.uint8),
+        succ_w=succ_w.reshape(4, 4),
+        xor=(_ROWS16[:, None] ^ _ROWS16).reshape(16, 4, 4),
+        members=np.argsort(sig_mid, kind="stable").reshape(16, 4).astype(np.uint8),
+        slot_branch=(64 * preds + triples[..., None]).reshape(16, 16, 64).astype(np.uint16),
+        slot_class=np.repeat(16 + sig_succ[:, None, None] + classes, 4, axis=3).reshape(16, 16, 64),
+        start_bit=start_bit[order],
+        end_bit=end_bit[order],
+        end_order=np.argsort(order)[np.lexsort((first, second))],
     )
 
 
@@ -178,11 +181,33 @@ def _segment_metrics(mt: np.ndarray):
     """Unclamped metric sums of every boundary pair and middle triple.
 
     Returns (N+1, 16) pair metrics, row i for qubits 5i+1..5i+2, and (N, 64)
-    triple metrics, row i for qubits 5i+3..5i+5, indexed as in the tables.
+    triple metrics, row i for qubits 5i+3..5i+5, indexed by state and triple.
     """
     pairs = (mt[0::5, :, None] + mt[1::5, None, :]).reshape(-1, 16)
     triples = (mt[4::5, :, None, None] + mt[3::5, None, :, None] + mt[2::5, None, None, :])
     return pairs, triples.reshape(-1, 64)
+
+
+@dataclass(frozen=True)
+class _Segments:
+    """Metric tables of a run of stages, for one channel."""
+
+    pairs: np.ndarray  # (n+1, 4, 4) pair metrics at positions
+    best: np.ndarray   # (n, 16) best triple metric of each coset
+    key: np.ndarray    # (n, 16) uint16 8 * (smallest best triple) + 4 * (several best triples)
+    hit: np.ndarray    # (n, 64) whether each triple attains its coset's best
+
+
+def _segments(tab: _TrellisTables, mt: np.ndarray) -> _Segments:
+    pairs, triples = _segment_metrics(mt)
+    by_coset = triples[:, tab.members]
+    best = by_coset.max(axis=2)
+    hit = by_coset == best[:, :, None]
+    first = tab.members.ravel()[4 * _ROWS16 + hit.argmax(axis=2)]
+    triple_hit = np.empty((len(best), 64), dtype=bool)
+    triple_hit[:, tab.members.ravel()] = hit.reshape(-1, 64)
+    key = (8 * first.astype(np.uint16) + 4 * (hit.sum(axis=2) > 1)).astype(np.uint16)
+    return _Segments(pairs[:, tab.order].reshape(-1, 4, 4), best, key, triple_hit)
 
 
 def _nibbles(syndromes: np.ndarray) -> np.ndarray:
@@ -192,64 +217,116 @@ def _nibbles(syndromes: np.ndarray) -> np.ndarray:
     return np.packbits(blocks, axis=2, bitorder="little")[:, :, 0]
 
 
-def _stage(tab: _TrellisTables, metrics, triple_metrics, pair_metrics, nib, rows, rng):
-    """One trellis stage: (slot choice, tied, metrics) of the 16 new survivors.
+# first entry and number of entries of a 4-bit mask as np.packbits writes it (entry 0 in bit 3)
+_MASK_FIRST = np.array([0, 3, 2, 2, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint16)
+_MASK_COUNT = np.array([bin(m).count("1") for m in range(16)], dtype=np.uint8)
 
-    Temporaries die on return, so the (B, 16, 64) candidates of consecutive
-    stages never coexist.
+
+def _choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray):
+    """Deterministic branch (n, B, 4) uint16 and tie flag (n, B, 4) of each
+    successor class, from the flags of the stages of ``seg``.
+
+    Among tied classes the winner is the one whose coset's smallest best
+    triple is smallest; within it, the first tied survivor.  A successor is
+    tied unless one class, one survivor and one triple attain its best.
     """
-    cand = (metrics[:, :, None] + triple_metrics).reshape(-1, 1024)[rows, tab.branch[nib]]
-    cand += pair_metrics[:, None]
-    np.maximum(cand, DEAD_METRIC, out=cand)
-    metrics = cand.max(axis=2)
-    best = cand == metrics[:, :, None]
-    if rng is None:
-        choice = cand.argmax(axis=2)
-    else:
-        choice = np.where(best, rng.random(cand.shape), -1.0).argmax(axis=2)
-    tied = best.sum(axis=2) > 1
-    tied &= metrics > DEAD_METRIC
-    return choice, tied, metrics
+    n, B = flags.shape[:2]
+    # coset key + v for every [stage, trial, 4w + v], 0xFFFF where class v is
+    # not tied; cosets are disjoint, so the least key is decided by its triple
+    key = seg.key[:, tab.xor.reshape(16, 16)][np.arange(n)[:, None], nibs.T]
+    key += (_ROWS16 & 3).astype(np.uint16)
+    key = (key | ~flags[:, :, 1].reshape(n, B, 16) * np.uint16(0xFFFF)).reshape(n, B, 4, 4)
+    key = np.minimum(np.minimum(key[..., 0], key[..., 1]), np.minimum(key[..., 2], key[..., 3]))
+    win = key & 3
+    # per trial, the survivor flags and the class flags as two 16-bit words,
+    # class v's (or successor class w's) four flags in bits 15-4v..12-4v
+    words = np.packbits(flags.reshape(n, B, 32), axis=2).view(">u2").astype(np.uint16)
+    survivors = (words[..., :1] >> (12 - 4 * win)) & 15
+    classes = (words[..., 1:] >> np.arange(12, -1, -4, dtype=np.uint16)) & 15
+    back = (4 * win + _MASK_FIRST[survivors]) << 6 | key >> 3
+    return back, (_MASK_COUNT[classes] > 1) | (_MASK_COUNT[survivors] > 1) | (key & 4 > 0)
 
 
-def _forward(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, nibs: np.ndarray, rng=None):
-    """The trellis recursion over a (B, 4N+2) 0/1 syndrome matrix.
+def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rng):
+    """Random-mode branch (n, B, 16) of each successor state: its best slot
+    with the largest of one ``rng.random((B, 16, 64))`` draw per stage, whose
+    axes are states and slots in tie order."""
+    n, B = flags.shape[:2]
+    branch, flat = tab.slot_branch[nibs.T], flags.ravel()  # branch: (n, B, 16, 64)
+    at = 32 * np.arange(n * B).reshape(n, B, 1, 1)  # where each (stage, trial) starts in flat
+    tied = flat.take(at + (branch >> 6)) & flat.take(at + tab.slot_class[nibs.T])
+    tied &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
+    pick = np.where(tied, rng.random((n, B, 16, 64)), -1.0).argmax(axis=3)
+    return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
 
-    Yields, after each stage, the slot each of the 16 survivors extends,
-    whether its best slot was tied, and the survivor metrics, each (B, 16).
-    Without ``rng`` the choice is the first best slot (the tie-break order);
-    with one it is uniform among the best slots.
+
+# (stage, trial) pairs per chunk of _sweep, at most 256 stages; 64 times fewer
+# when each carries 1024 random draws
+_CHUNK = 1 << 12
+
+
+def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None, live=None):
+    """Forward and choice passes over a (B, 4N+2) 0/1 syndrome matrix.
+
+    Returns the final (B, 16) survivor metrics at positions, the branches
+    back (N, B, 4) of each successor class, and tied (N, B, 4).  The stages
+    run a chunk at a time, so temporaries stay bounded whatever N and B.  A
+    stage records in flags (B, 2, 4, 4) which survivors attain their class
+    maximum and which classes v attain the best sum of each successor class
+    w; the choice pass reads them once per chunk.  With ``rng``, back is
+    (N, B, 16) by successor state, from :func:`_random_choices`.  ``live``,
+    a list, receives the live positions after each stage (B = 1).
     """
-    pairs, triples = _segment_metrics(mt)
-    metrics = np.where(
-        tab.start_bit == syndromes[:, :1], np.maximum(pairs[0], DEAD_METRIC), DEAD_METRIC
-    )
-    rows = np.arange(len(syndromes))[:, None, None]
-    for i in range(nibs.shape[1]):
-        choice, tied, metrics = _stage(tab, metrics, triples[i], pairs[i + 1], nibs[:, i], rows, rng)
-        yield choice, tied, metrics
+    nibs = _nibbles(syndromes)
+    B, N = nibs.shape
+    back = np.empty((N, B, 4 if rng is None else 16), dtype=np.uint16)
+    tied = np.empty((N, B, 4), dtype=bool)
+    start = (mt[0, :, None] + mt[1]).ravel()[tab.order]
+    metrics = np.where(tab.start_bit == syndromes[:, :1], np.maximum(start, DEAD_METRIC), DEAD_METRIC)
+    metrics = metrics.reshape(B, 4, 4)
+    step = max(1, min(256, (_CHUNK if rng is None else _CHUNK // 64) // max(B, 1)))
+    for lo in range(0, N, step):
+        seg, chunk = _segments(tab, mt[5 * lo:5 * (lo + step) + 2]), nibs[:, lo:lo + step]
+        flags = np.empty((len(seg.best), B, 2, 4, 4), dtype=bool)
+        for i, (nib, coset_best, pairs) in enumerate(zip(chunk.T, seg.best, seg.pairs[1:])):
+            top, best = flags[i, :, 0], flags[i, :, 1]
+            group = np.maximum.reduce(metrics, axis=2, keepdims=True)  # (B, 4, 1) class maxima
+            np.equal(metrics, group, out=top)
+            sums = coset_best[tab.xor[nib]]  # (B, 4, 4) indexed [w, v]
+            sums += group.reshape(B, 1, 4)
+            succ = np.maximum.reduce(sums, axis=2, keepdims=True)  # (B, 4, 1)
+            np.equal(sums, succ, out=best)
+            metrics = succ[:, tab.succ_w, 0] + pairs
+            np.maximum(metrics, DEAD_METRIC, out=metrics)
+            if live is not None:
+                live.append(np.flatnonzero(metrics > DEAD_METRIC))
+        choice, tied[lo:lo + step] = _choices(tab, seg, chunk, flags)
+        back[lo:lo + step] = choice if rng is None else _random_choices(tab, seg, chunk, flags, rng)
+    return metrics.reshape(B, 16), back, tied
 
 
-def _traceback(tab: _TrellisTables, nibs: np.ndarray, back: np.ndarray, ties: np.ndarray, k):
-    """Codes (B, n) of the survivors ending in states ``k``, and whether any
-    stage on their paths was tied."""
+def _traceback(tab: _TrellisTables, back, cols, tied, k):
+    """Codes (B, n) of the survivors at positions ``k``, and whether any stage
+    on their paths was tied.  Position r took branch back[i, :, cols[r]] at
+    stage i, and its tie flag is tied[i, :, succ_w[r]]."""
     N, B = back.shape[:2]
     rows = np.arange(B)
     codes = np.empty((B, 5 * N + 2), dtype=np.uint8)
     steps = np.empty((N, B), dtype=np.uint16)
-    states = np.empty((N + 1, B), dtype=np.uint8)
-    states[N] = k
+    positions = np.empty((N + 1, B), dtype=np.uint8)
+    positions[N] = k
     for i in reversed(range(N)):
-        steps[i] = tab.branch[nibs[:, i], k, back[i, rows, k]]
+        steps[i] = back[i, rows, cols[k]]
         k = steps[i] >> 6
-    states[:N] = steps >> 6
-    tied = ties[np.arange(N)[:, None], rows, states[1:]].any(axis=0)
+    positions[:N] = steps >> 6
+    path_tied = tied[np.arange(N)[:, None], rows, tab.succ_w.ravel()[positions[1:]]].any(axis=0)
+    states = tab.order[positions]
     codes[:, 0::5] = (states >> 2).T
     codes[:, 1::5] = (states & 3).T
     codes[:, 2::5] = (steps & 3).T
     codes[:, 3::5] = ((steps >> 2) & 3).T
     codes[:, 4::5] = ((steps >> 4) & 3).T
-    return codes, tied
+    return codes, path_tied
 
 
 def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None):
@@ -258,14 +335,7 @@ def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None
     Returns (codes, tie_broken, feasible); rows that are not feasible carry
     arbitrary codes.
     """
-    nibs = _nibbles(syndromes)
-    B, N = nibs.shape
-    back = np.empty((N, B, 16), dtype=np.uint8)
-    ties = np.empty((N, B, 16), dtype=bool)
-    for i, (choice, tied, metrics) in enumerate(_forward(tab, mt, syndromes, nibs, rng)):
-        back[i] = choice
-        ties[i] = tied
-
+    metrics, back, tied = _sweep(tab, mt, syndromes, rng)
     final = np.where(tab.end_bit == syndromes[:, -1:], metrics, DEAD_METRIC)
     best = final.max(axis=1)
     ordered = final[:, tab.end_order]
@@ -273,7 +343,7 @@ def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None
         k = tab.end_order[ordered.argmax(axis=1)]
     else:
         k = np.array([rng.choice(tab.end_order[row == row.max()]) for row in ordered])
-    codes, path_tied = _traceback(tab, nibs, back, ties, k)
+    codes, path_tied = _traceback(tab, back, tab.succ_w.ravel() if rng is None else tab.order, tied, k)
     tie_broken = path_tied | ((final == best[:, None]).sum(axis=1) > 1)
     return codes, tie_broken, best > DEAD_METRIC
 
@@ -285,9 +355,13 @@ class DecodeResult:
     tie_broken: bool
 
 
-def _check_inputs(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndrome):
+def _check_schedule(code: ConvolutionalCode, schedule: ChannelSchedule) -> None:
     if schedule.n != code.n:
         raise ValueError(f"schedule covers {schedule.n} qubits, code has {code.n}")
+
+
+def _check_inputs(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndrome):
+    _check_schedule(code, schedule)
     expected = 4 * code.blocks + 2
     if len(syn.bits) != expected:
         raise ValueError(f"syndrome has {len(syn.bits)} bits, expected {expected}")
@@ -344,8 +418,7 @@ def decode_batch(
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
         raise ValueError(f"syndromes must have shape (trials, {4 * code.blocks + 2})")
-    if schedule.n != code.n:
-        raise ValueError(f"schedule covers {schedule.n} qubits, code has {code.n}")
+    _check_schedule(code, schedule)
     if ((syndromes != 0) & (syndromes != 1)).any():
         raise ValueError("syndrome bits must be 0 or 1")
     syndromes = syndromes.astype(np.uint8, copy=False)
@@ -373,8 +446,7 @@ def _enumerate_errors(code: ConvolutionalCode, schedule: ChannelSchedule):
             f"brute force enumerates 4^n errors and is capped at n <= {MAX_BRUTE_FORCE_QUBITS}; "
             f"this code has n = {n}"
         )
-    if schedule.n != n:
-        raise ValueError(f"schedule covers {schedule.n} qubits, code has {n}")
+    _check_schedule(code, schedule)
     count = 1 << (2 * n)
     e = np.arange(count, dtype=np.uint32)
     mt = metric_table(schedule)
@@ -454,8 +526,10 @@ def brute_force_table(code: ConvolutionalCode, schedule: ChannelSchedule):
 def initial_live_count(code: ConvolutionalCode, schedule: ChannelSchedule, bit: int) -> int:
     """Boundary-pair candidates consistent with the first syndrome bit and
     having positive probability."""
+    _check_schedule(code, schedule)
+    tab = _tables()
     pairs, _ = _segment_metrics(metric_table(schedule))
-    return int(((_tables().start_bit == bit) & (pairs[0] > DEAD_METRIC)).sum())
+    return int(((tab.start_bit == bit) & (pairs[0, tab.order] > DEAD_METRIC)).sum())
 
 
 def transition_live_count(
@@ -467,6 +541,7 @@ def transition_live_count(
     With an everywhere-positive channel this is 1024 = 16*64*16 / 2^4 for any
     bit pattern: the four constraints are independent and each halves the set.
     """
+    _check_schedule(code, schedule)
     if not 0 <= stage < code.blocks:
         raise ValueError(f"stage must be in 0..{code.blocks - 1}, got {stage}")
     bits = tuple(bits)
@@ -475,10 +550,11 @@ def transition_live_count(
     nib = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
     tab = _tables()
     pairs, triples = _segment_metrics(metric_table(schedule))
-    # a window sum stays above the sentinel iff none of its seven terms is dead
-    branches = (pairs[stage][:, None] + triples[stage]).ravel()
-    window = branches[tab.branch[nib]] + pairs[stage + 1][:, None]
-    return int((window > DEAD_METRIC).sum())
+    # a window is live iff its predecessor pair, triple and successor pair are
+    preds = (pairs[stage, tab.order] > DEAD_METRIC).reshape(4, 4).sum(axis=1)
+    cosets = (triples[stage, tab.members] > DEAD_METRIC).sum(axis=1)
+    per_class = cosets[tab.xor[nib]] @ preds  # live (predecessor, triple) pairs per successor class
+    return int(per_class[tab.succ_w][pairs[stage + 1, tab.order].reshape(4, 4) > DEAD_METRIC].sum())
 
 
 def survivor_merge_lag(
@@ -493,12 +569,9 @@ def survivor_merge_lag(
     trail; the normative decoder always waits for the final boundary bit.
     """
     syndromes = _check_inputs(code, schedule, syn)
-    tab = _tables()
-    nibs = _nibbles(syndromes)
-    preds, live = [], []
-    for i, (choice, _, metrics) in enumerate(_forward(tab, metric_table(schedule), syndromes, nibs)):
-        preds.append(tab.branch[nibs[0, i], _ROWS16, choice[0]] >> 6)
-        live.append(np.flatnonzero(metrics[0] > DEAD_METRIC))
+    tab, live = _tables(), []
+    _, back, _ = _sweep(tab, metric_table(schedule), syndromes, live=live)
+    preds = back[:, 0, tab.succ_w.ravel()] >> 6
 
     lags = []
     for s in range(1, code.blocks + 1):

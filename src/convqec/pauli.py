@@ -16,12 +16,17 @@ words.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+
+import numpy as np
 
 # Per-qubit integer code 2*x + z.  This fixes I < Z < X < Y, the ordering used
 # for trellis state indices and deterministic tie-breaking in the decoder.
 CODE_CHARS = "IZXY"
-CHAR_TO_CODE = {c: k for k, c in enumerate(CODE_CHARS)}
+_NOT_PAULI = re.compile(f"[^{CODE_CHARS}]")
+_X_DIGITS = str.maketrans(CODE_CHARS, "0011")  # the x bit of each letter's code
+_Z_DIGITS = str.maketrans(CODE_CHARS, "0101")  # the z bit
 
 
 @dataclass(frozen=True)
@@ -47,25 +52,30 @@ class Pauli:
         return 2 * ((self.x >> (q - 1)) & 1) + ((self.z >> (q - 1)) & 1)
 
     def codes(self) -> list[int]:
-        """Per-qubit codes for qubits 1..n.
-
-        Reads one binary numeral per part, so the cost is linear in n (a
-        shift per qubit would be quadratic).
-        """
-        xs = format(self.x, f"0{self.n}b")[::-1]
-        zs = format(self.z, f"0{self.n}b")[::-1]
-        return [2 * (a == "1") + (b == "1") for a, b in zip(xs, zs)]
+        """Per-qubit codes for qubits 1..n."""
+        return (2 * _unpack(self.x, self.n) + _unpack(self.z, self.n)).tolist()
 
     def support(self) -> list[int]:
         """1-based positions of the non-identity tensor factors."""
-        bits = self.x | self.z
-        return [q + 1 for q in range(self.n) if (bits >> q) & 1]
+        return (np.flatnonzero(_unpack(self.x | self.z, self.n)) + 1).tolist()
 
     def __mul__(self, other: "Pauli") -> "Pauli":
         return multiply(self, other)
 
     def __str__(self) -> str:
         return "".join(CODE_CHARS[c] for c in self.codes())
+
+
+def _pack(bits: np.ndarray) -> int:
+    """Integer whose bit q is bits[q].  Converting whole byte strings keeps
+    this and :func:`_unpack` linear in n; a shift per qubit is quadratic."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def _unpack(value: int, n: int) -> np.ndarray:
+    """(n,) uint8 bits of ``value``, bit q at index q."""
+    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=n, bitorder="little")
 
 
 def identity(n: int) -> Pauli:
@@ -77,24 +87,20 @@ def pauli_from_string(s: str) -> Pauli:
     """Parse an uppercase I/X/Y/Z string; leftmost character is qubit 1."""
     if not s:
         raise ValueError("empty Pauli string")
-    x = z = 0
-    for pos, ch in enumerate(s):
-        code = CHAR_TO_CODE.get(ch)
-        if code is None:
-            raise ValueError(f"invalid Pauli character {ch!r} at position {pos + 1}")
-        x |= (code >> 1) << pos
-        z |= (code & 1) << pos
-    return Pauli(len(s), x, z)
+    bad = _NOT_PAULI.search(s)
+    if bad:
+        raise ValueError(f"invalid Pauli character {bad.group()!r} at position {bad.start() + 1}")
+    digits = s[::-1]  # qubit 1 becomes the least significant binary digit
+    return Pauli(len(s), int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2))
 
 
 def pauli_from_codes(codes) -> Pauli:
     """Build a Pauli from a sequence of per-qubit integer codes (2*x + z)."""
-    codes = [int(c) for c in codes]
-    x = z = 0
-    for pos, code in enumerate(codes):
-        x |= ((code >> 1) & 1) << pos
-        z |= (code & 1) << pos
-    return Pauli(len(codes), x, z)
+    codes = np.asarray(codes)
+    if ((codes < 0) | (codes > 3)).any():
+        raise ValueError("Pauli codes must be in 0..3")
+    codes = codes.astype(np.uint8, copy=False)
+    return Pauli(len(codes), _pack(codes >> 1), _pack(codes & 1))
 
 
 def _check_same_length(a: Pauli, b: Pauli) -> None:

@@ -1,11 +1,19 @@
 """Tests for the trellis decoder against the exhaustive oracle."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from convqec.channel import depolarizing, make_rng, sample_error, schedule_from_probs
+from convqec.channel import (
+    depolarizing,
+    make_rng,
+    sample_error,
+    sample_error_codes,
+    schedule_from_probs,
+)
 from convqec.code import Syndrome, build_code, syndrome_of
 from convqec.decoder import (
     InfeasibleSyndromeError,
@@ -142,6 +150,16 @@ def test_transition_live_count_uniform_1024():
         assert transition_live_count(code, schedule, stage, bits) == 1024
 
 
+def test_live_counts_validate_schedule_length():
+    code = build_code(3)
+    schedule = depolarizing(7, 0.1)
+    with pytest.raises(ValueError, match="schedule covers 7 qubits, code has 17"):
+        initial_live_count(code, schedule, 0)
+    for stage in (0, 2):
+        with pytest.raises(ValueError, match="schedule covers 7 qubits, code has 17"):
+            transition_live_count(code, schedule, stage, (0, 0, 0, 0))
+
+
 def test_transition_live_count_identity_channel():
     code = build_code(2)
     assert transition_live_count(code, depolarizing(12, 0.0), 0, (0, 0, 0, 0)) == 1
@@ -163,6 +181,30 @@ def test_decode_batch_flags_infeasible_rows_without_crashing():
     assert list(batch.codes[0]) == [0] * 7
     assert batch.log_likelihood[1] == float("-inf")
     assert not batch.tie_broken[1]
+
+
+def test_decode_batch_accepts_zero_trials():
+    code = build_code(3)
+    batch = decode_batch(code, depolarizing(code.n, 0.1), np.zeros((0, 14), dtype=np.uint8))
+    assert batch.codes.shape == (0, code.n)
+    assert batch.feasible.shape == batch.tie_broken.shape == batch.log_likelihood.shape == (0,)
+
+
+def test_decode_batch_state_bytes_bounded():
+    """Per-stage state kept by decode_batch is at most 32 bytes per
+    block-trial: peak memory grows by no more than that per block-trial."""
+    trials, peaks = 512, []
+    for blocks in (100, 300):
+        code = build_code(blocks)
+        schedule = depolarizing(code.n, 0.02)
+        codes = sample_error_codes(schedule, make_rng(3), trials)
+        syndromes = syndrome_bits_batch(code, codes).astype(np.uint8)
+        decode_batch(code, schedule, syndromes[:1])  # caches the metric table
+        tracemalloc.start()
+        decode_batch(code, schedule, syndromes)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / (200 * trials) <= 32
 
 
 def test_decode_batch_matches_single():
@@ -339,3 +381,48 @@ def test_survivor_merge_lag_pinned():
         for bits, lags in pins:
             syn = Syndrome(tuple(int(b) for b in bits))
             assert survivor_merge_lag(code, schedules[name], syn) == lags
+
+
+def golden_channels(n, rng):
+    """Depolarizing extremes, random rows with and without zero components,
+    and rows repeated from a short list (exact ties across positions)."""
+    yield from (depolarizing(n, p) for p in (0.0, 0.02, 0.3, 1.0))
+    yield random_schedule(n, rng)
+    yield random_schedule(n, rng, zero_fraction=0.3)
+    levels = np.array([[0.7, 0.1, 0.1, 0.1], [0.4, 0.2, 0.2, 0.2], [0.25] * 4, [0.5, 0.25, 0.0, 0.25]])
+    yield schedule_from_probs(levels[(rng.random(n) * len(levels)).astype(int)])
+
+
+def decoder_digest():
+    """sha256 over decode_batch and viterbi_decode outputs (codes, tie flags,
+    feasibility) on a fixed grid of block counts, channels, and sampled plus
+    uniformly random syndromes.  Only uniform draws feed the grid, so it is
+    the same on every numpy version."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(2024)
+    for blocks in (1, 2, 3, 10, 25):
+        code = build_code(blocks)
+        for schedule in golden_channels(code.n, rng):
+            sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 32))
+            uniform = rng.random((32, 4 * blocks + 2)) < 0.5
+            syndromes = np.concatenate([sampled, uniform]).astype(np.uint8)
+            batch = decode_batch(code, schedule, syndromes)
+            for array in (batch.codes, batch.tie_broken, batch.feasible):
+                h.update(np.ascontiguousarray(array).tobytes())
+            for row in (0, 1, 2, 32, 33, 34):
+                syn = Syndrome(tuple(int(b) for b in syndromes[row]))
+                for kwargs in ({}, {"tie_mode": "random", "rng": row}):
+                    try:
+                        result = viterbi_decode(code, schedule, syn, **kwargs)
+                        h.update(f"{result.error}|{result.tie_broken};".encode())
+                    except InfeasibleSyndromeError:
+                        h.update(b"infeasible;")
+    return h.hexdigest()
+
+
+# Recorded from the decoder before its stage kernel was rewritten.
+DECODER_DIGEST = "9aac41fbe170fed8565c1972a7c86f0c4f8ac089e51c5b6a58c9d7db21d4496f"
+
+
+def test_decoder_golden_digest():
+    assert decoder_digest() == DECODER_DIGEST

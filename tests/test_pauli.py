@@ -154,3 +154,19 @@ def test_support_and_codes():
     assert p.support() == [2, 4, 6]
     assert p.codes() == [0, 1, 0, 2, 0, 1]
     assert p.code_at(4) == 2
+
+
+def test_large_round_trips_match_codes():
+    codes = np.random.default_rng(5).integers(0, 4, 20000)
+    p = pauli_from_codes(codes)
+    assert p.codes() == codes.tolist()
+    assert pauli_from_codes(p.codes()) == p
+    assert pauli_from_codes(codes.astype(np.uint8)) == p
+    assert pauli_from_string(str(p)) == p
+    assert p.support() == (np.flatnonzero(codes) + 1).tolist()
+
+
+def test_pauli_from_codes_rejects_out_of_range_codes():
+    for bad in ([0, 4], [5, 0, 0], [1, -1], np.array([0, 7], dtype=np.uint8)):
+        with pytest.raises(ValueError, match="0..3"):
+            pauli_from_codes(bad)
