@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import Pauli, pauli_from_codes
+from .pauli import Pauli, code_rows, pauli_from_codes
 
 # Column order of the public quadruples.
 QUAD_ORDER = "IXYZ"
@@ -111,11 +111,20 @@ def log_likelihood(schedule: ChannelSchedule, e: Pauli) -> float:
     """
     if e.n != schedule.n:
         raise ValueError(f"error acts on {e.n} qubits, schedule has {schedule.n}")
-    table = schedule.log_prob_by_code()
-    total = 0.0
-    for q, code in enumerate(e.codes()):
-        total = total + float(table[q, code])
-    return total
+    return float(log_likelihoods(schedule, code_rows([e]))[0])
+
+
+def log_likelihoods(schedule: ChannelSchedule, codes: np.ndarray) -> np.ndarray:
+    """(B,) log-likelihoods of the rows of a (B, n) code matrix, each added left
+    to right by np.add.accumulate (np.sum adds pairwise and changes the last
+    bits), a bounded chunk of rows at a time."""
+    table, qubits = schedule.log_prob_by_code(), np.arange(schedule.n)
+    out = np.empty(len(codes))
+    step = max(1, (1 << 16) // schedule.n)  # rows per chunk
+    for lo in range(0, len(codes), step):
+        terms = table[qubits, codes[lo:lo + step]]
+        out[lo:lo + step] = np.add.accumulate(terms, axis=1, out=terms)[:, -1]
+    return out
 
 
 def channel_to_config(schedule: ChannelSchedule) -> dict:

@@ -12,6 +12,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .channel import channel_from_config, channel_id, make_rng, sample_error_codes
 from .circuits import (
@@ -21,7 +23,8 @@ from .circuits import (
     verify_layer_commutation,
 )
 from .code import Syndrome, build_code, describe, verify_code
-from .decoder import InfeasibleSyndromeError, brute_force_table, viterbi_decode, _codes_of_index
+from .decoder import InfeasibleSyndromeError, brute_force_table, codes_of_index, decode_batch
+from .decoder import viterbi_decode
 from .sim import SweepRow, rows_to_csv, rows_to_json, run_trials, sweep, syndrome_bits_batch
 from .tableau import StabilizerTableau
 
@@ -188,33 +191,23 @@ def cmd_oracle_check(args) -> int:
     n_bits = 4 * args.blocks + 2
 
     if args.all_syndromes:
-        syndromes = [tuple((s >> b) & 1 for b in range(n_bits)) for s in range(1 << n_bits)]
+        syndromes = (np.arange(1 << n_bits)[:, None] >> np.arange(n_bits)) & 1
     else:
-        rng = make_rng(args.seed)
-        sampled = sample_error_codes(schedule, rng, args.samples)
-        syndromes = [tuple(int(b) for b in row) for row in syndrome_bits_batch(code, sampled)]
+        sampled = sample_error_codes(schedule, make_rng(args.seed), args.samples)
+        syndromes = syndrome_bits_batch(code, sampled)
 
     ll_table, winner, tie_table, feasible = brute_force_table(code, schedule)
-    mismatches = 0
-    max_delta = 0.0
-    for bits in syndromes:
-        index = sum(b << pos for pos, b in enumerate(bits))
-        try:
-            result = viterbi_decode(code, schedule, Syndrome(bits))
-        except InfeasibleSyndromeError:
-            if feasible[index]:
-                mismatches += 1
-            continue
-        if not feasible[index]:
-            mismatches += 1
-            continue
-        delta = abs(result.log_likelihood - ll_table[index])
-        max_delta = max(max_delta, delta)
-        same_error = list(result.error.codes()) == _codes_of_index(int(winner[index]), code.n)
-        if delta > 1e-9 or not same_error or result.tie_broken != bool(tie_table[index]):
-            mismatches += 1
+    batch = decode_batch(code, schedule, syndromes)
+    index = syndromes @ (1 << np.arange(n_bits))
+    both = batch.feasible & feasible[index]
+    mismatches = int((batch.feasible != feasible[index]).sum())
+    index = index[both]
+    delta = np.abs(batch.log_likelihood[both] - ll_table[index])
+    agree = (batch.codes[both] == codes_of_index(winner[index], code.n)).all(axis=1)
+    agree &= (batch.tie_broken[both] == tie_table[index]) & (delta <= 1e-9)
+    mismatches += int((~agree).sum())
     print(f"syndromes checked: {len(syndromes)}")
-    print(f"max |delta log-likelihood|: {max_delta!r}")
+    print(f"max |delta log-likelihood|: {float(delta.max(initial=0.0))!r}")
     print(f"mismatches: {mismatches}")
     return 0 if mismatches == 0 else 1
 

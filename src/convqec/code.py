@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import gf2
-from .pauli import Pauli, pauli_from_codes, pauli_from_string, shift, symplectic_product
+from .pauli import Pauli, SupportTable, code_rows, commutation_bits, pauli_from_string, shift
+from .pauli import support_table
 
 BLOCK_GENERATOR = "ZXXZ"
 START_GENERATOR = "XZ"
@@ -41,6 +43,17 @@ class ConvolutionalCode:
     logical_x: tuple[Pauli, ...]
     logical_z: tuple[Pauli, ...]
     info_positions: tuple[int, ...]
+
+    # Support tables, built on first use so that build_code stays cheap.
+    @cached_property
+    def generator_table(self) -> SupportTable:
+        return support_table(self.generators, self.n)
+
+    @cached_property
+    def logical_table(self) -> SupportTable:
+        """Table of the logicals interleaved as X1, Z1, X2, Z2, ..."""
+        interleaved = [op for pair in zip(self.logical_x, self.logical_z) for op in pair]
+        return support_table(interleaved, self.n)
 
 
 @dataclass(frozen=True)
@@ -102,17 +115,6 @@ def _generator_basis(code: ConvolutionalCode) -> gf2.RowBasis:
     return basis
 
 
-def _pairwise_commute_matrix(ops_a, ops_b) -> np.ndarray:
-    """Symplectic products between two operator lists, as a 0/1 matrix."""
-    n = ops_a[0].n
-    ax = np.array([[(p.x >> q) & 1 for q in range(n)] for p in ops_a], dtype=np.uint8)
-    az = np.array([[(p.z >> q) & 1 for q in range(n)] for p in ops_a], dtype=np.uint8)
-    bx = np.array([[(p.x >> q) & 1 for q in range(n)] for p in ops_b], dtype=np.uint8)
-    bz = np.array([[(p.z >> q) & 1 for q in range(n)] for p in ops_b], dtype=np.uint8)
-    prod = ax.astype(np.int32) @ bz.T.astype(np.int32) + az.astype(np.int32) @ bx.T.astype(np.int32)
-    return (prod % 2).astype(np.uint8)
-
-
 @dataclass(frozen=True)
 class CodeReport:
     """Outcome of the exhaustive algebraic checks on a code instance."""
@@ -133,7 +135,7 @@ class CodeReport:
 
 def verify_code(code: ConvolutionalCode) -> CodeReport:
     """Check generator commutation/independence and every logical-pair relation."""
-    commute = _pairwise_commute_matrix(code.generators, code.generators)
+    commute = commutation_bits(code_rows(code.generators), code.generator_table)
     generator_commutation = not commute.any()
 
     basis = _generator_basis(code)
@@ -141,25 +143,26 @@ def verify_code(code: ConvolutionalCode) -> CodeReport:
     exponent = code.n - generator_rank
 
     conditions: dict[str, bool] = {}
-    logicals = list(code.logical_x) + list(code.logical_z)
-    labels = [f"X{i + 1}" for i in range(code.blocks)] + [f"Z{i + 1}" for i in range(code.blocks)]
-    vs_gens = _pairwise_commute_matrix(logicals, code.generators)
+    N = code.blocks
+    logicals = code.logical_x + code.logical_z
+    rows = code_rows(logicals)
+    labels = [f"X{i + 1}" for i in range(N)] + [f"Z{i + 1}" for i in range(N)]
+    vs_gens = commutation_bits(rows, code.generator_table)
     for lbl, row, op in zip(labels, vs_gens, logicals):
         conditions[f"{lbl} commutes with generators"] = not row.any()
         conditions[f"{lbl} outside stabilizer"] = not basis.contains(symplectic_vector(op))
-
-    pairwise = _pairwise_commute_matrix(logicals, logicals)
-    N = code.blocks
+    # [a, j, k]: logical a (X1..XN, Z1..ZN) against X_{j+1} (k = 0) or Z_{j+1} (k = 1)
+    pairwise = commutation_bits(rows, code.logical_table).reshape(2 * N, N, 2)
     for i in range(N):
         for j in range(i + 1, N):
-            conditions[f"[X{i + 1},X{j + 1}] commute"] = pairwise[i, j] == 0
-            conditions[f"[Z{i + 1},Z{j + 1}] commute"] = pairwise[N + i, N + j] == 0
+            conditions[f"[X{i + 1},X{j + 1}] commute"] = pairwise[i, j, 0] == 0
+            conditions[f"[Z{i + 1},Z{j + 1}] commute"] = pairwise[N + i, j, 1] == 0
     for i in range(N):
         for j in range(N):
             if i == j:
-                conditions[f"X{i + 1} anticommutes Z{i + 1}"] = pairwise[i, N + j] == 1
+                conditions[f"X{i + 1} anticommutes Z{i + 1}"] = pairwise[i, j, 1] == 1
             else:
-                conditions[f"[X{i + 1},Z{j + 1}] commute"] = pairwise[i, N + j] == 0
+                conditions[f"[X{i + 1},Z{j + 1}] commute"] = pairwise[i, j, 1] == 0
 
     return CodeReport(generator_commutation, generator_rank, conditions, exponent)
 
@@ -168,7 +171,7 @@ def syndrome_of(code: ConvolutionalCode, e: Pauli) -> Syndrome:
     """Syndrome of an error: one commutation bit per generator, in order."""
     if e.n != code.n:
         raise ValueError(f"error acts on {e.n} qubits, code has {code.n}")
-    return Syndrome(tuple(symplectic_product(e, g) for g in code.generators))
+    return Syndrome(tuple(commutation_bits(code_rows([e]), code.generator_table)[0].tolist()))
 
 
 def in_stabilizer(code: ConvolutionalCode, p: Pauli) -> bool:
@@ -184,14 +187,9 @@ def logical_action(code: ConvolutionalCode, p: Pauli) -> tuple[int, ...]:
     All-zero exactly when p is a stabilizer element; a set bit against a
     logical operator means p acts as the conjugate logical on that qubit.
     """
-    syn = syndrome_of(code, p)
-    if any(syn.bits):
+    if any(syndrome_of(code, p).bits):
         raise ValueError("logical_action requires a zero-syndrome operator")
-    bits = []
-    for lx, lz in zip(code.logical_x, code.logical_z):
-        bits.append(symplectic_product(p, lx))
-        bits.append(symplectic_product(p, lz))
-    return tuple(bits)
+    return tuple(commutation_bits(code_rows([p]), code.logical_table)[0].tolist())
 
 
 def min_logical_weight_probe(code: ConvolutionalCode, max_weight: int) -> int | None:
@@ -199,21 +197,22 @@ def min_logical_weight_probe(code: ConvolutionalCode, max_weight: int) -> int | 
     logical action, by exhaustive enumeration; None if no such operator exists.
 
     Intended for desk-scale codes only (the candidate count grows as
-    (3n)^max_weight); max_weight is capped at 3.
+    (3n)^max_weight); max_weight is capped at 3.  Candidates are checked as
+    rows of one code matrix per chunk of support sets.
     """
     if max_weight > 3:
         raise ValueError("probe supports max_weight <= 3 only")
     for w in range(1, max_weight + 1):
-        for positions in itertools.combinations(range(code.n), w):
-            for letters in itertools.product((1, 2, 3), repeat=w):
-                codes = [0] * code.n
-                for pos, letter in zip(positions, letters):
-                    codes[pos] = letter
-                p = pauli_from_codes(codes)
-                if any(syndrome_of(code, p).bits):
-                    continue
-                if any(logical_action(code, p)):
-                    return w
+        letters = np.array(list(itertools.product((1, 2, 3), repeat=w)), dtype=np.uint8)
+        supports = itertools.combinations(range(code.n), w)
+        while chunk := list(itertools.islice(supports, 1024)):
+            at = np.array(chunk)[:, None]  # (supports, 1, w)
+            candidates = np.zeros((len(at), len(letters), code.n), dtype=np.uint8)
+            np.put_along_axis(candidates, at, letters[None], axis=2)
+            candidates = candidates.reshape(-1, code.n)
+            silent = ~commutation_bits(candidates, code.generator_table).any(axis=1)
+            if commutation_bits(candidates[silent], code.logical_table).any():
+                return w
     return None
 
 

@@ -59,7 +59,8 @@ tied survivor classes the one whose coset's smallest best triple is
 smallest wins, and within it the first tied survivor.  The oracle
 replicates the order for free: enumerating errors as base-4 integers with
 qubit 1 in the least significant digit makes ascending index exactly this
-order.
+order.  It builds the metrics and syndromes of all 4^n errors one qubit at
+a time, as outer sums and outer XORs of per-qubit rows.
 ``tie_mode="random"`` instead picks uniformly among tied candidates using a
 caller-supplied seed, matching the behavior the construction allows while
 keeping runs reproducible.
@@ -73,9 +74,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSchedule, log_likelihood, make_rng
-from .code import ConvolutionalCode, Syndrome
-from .pauli import Pauli, pauli_from_codes
+from .channel import ChannelSchedule, log_likelihood, log_likelihoods, make_rng
+from .code import ConvolutionalCode, Syndrome, build_code
+from .pauli import Pauli, commutation_bits, pauli_from_codes
 
 MAX_BRUTE_FORCE_QUBITS = 12
 
@@ -86,13 +87,6 @@ METRIC_SCALE_BITS = 30
 # every term is dead.
 DEAD_METRIC = np.int64(-(2 ** 59))
 
-# Single-qubit symplectic form on codes: SP1[a, b] = 1 iff the letters anticommute.
-_SP1 = np.zeros((4, 4), dtype=np.uint8)
-for _a in range(4):
-    for _b in range(4):
-        _SP1[_a, _b] = ((_a >> 1) & (_b & 1)) ^ ((_a & 1) & ((_b >> 1) & 1))
-
-_BLOCK_PATTERN = (1, 2, 2, 1)  # Z X X Z as codes
 _ROWS16 = np.arange(16)
 
 _METRIC_CACHE: "weakref.WeakKeyDictionary[ChannelSchedule, np.ndarray]" = (
@@ -143,10 +137,8 @@ class _TrellisTables:
 
 @lru_cache(maxsize=1)
 def _tables() -> _TrellisTables:
-    offset = np.arange(7)[:, None] - np.arange(4)  # window position minus generator index
-    inside = (offset >= 0) & (offset < 4)
-    letters = np.array(_BLOCK_PATTERN)[np.where(inside, offset, 0)]
-    flip = ((_SP1[:, letters] & inside) << np.arange(4)).sum(axis=2)  # nibble of code a at position p
+    bits = _single_qubit_syndromes(build_code(1))  # the 7-qubit window of one block
+    flip = (bits[:, :, 1:5] << np.arange(4)).sum(axis=2).T  # nibble of code a at position p
     first, second, t = _ROWS16 >> 2, _ROWS16 & 3, np.arange(64)
     sig_pred = flip[first, 0] ^ flip[second, 1]
     sig_mid = flip[t & 3, 2] ^ flip[(t >> 2) & 3, 3] ^ flip[t >> 4, 4]
@@ -162,8 +154,8 @@ def _tables() -> _TrellisTables:
     triples = np.nonzero(need < 4)[2].reshape(16, 16, 16)
     classes = np.take_along_axis(need, triples, axis=2)[..., None]
     preds = 4 * classes + np.arange(4)
-    start_bit = _SP1[first, 2] ^ _SP1[second, 1]  # X on 1, Z on 2
-    end_bit = _SP1[first, 1] ^ _SP1[second, 2]    # Z on n-1, X on n
+    start_bit = bits[0, first, 0] ^ bits[1, second, 0]  # XZ on qubits 1, 2
+    end_bit = bits[5, first, 5] ^ bits[6, second, 5]    # ZX on qubits n-1, n
     return _TrellisTables(
         order=order.astype(np.uint8),
         succ_w=succ_w.reshape(4, 4),
@@ -425,11 +417,7 @@ def decode_batch(
 
     codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes)
     codes[~feasible] = 0
-    logp = schedule.log_prob_by_code()
-    ll = logp[0][codes[:, 0]]
-    for q in range(1, code.n):
-        ll = ll + logp[q][codes[:, q]]
-    ll = np.where(feasible, ll, -np.inf)
+    ll = np.where(feasible, log_likelihoods(schedule, codes), -np.inf)
     tie_broken &= feasible
     return BatchDecodeResult(codes, ll, tie_broken, feasible)
 
@@ -438,7 +426,8 @@ def _enumerate_errors(code: ConvolutionalCode, schedule: ChannelSchedule):
     """Quantized log-likelihood and syndrome index of every n-qubit Pauli.
 
     Error index e encodes qubit q in base-4 digit q-1, so ascending index is
-    exactly the decoder's tie-break order.
+    exactly the decoder's tie-break order.  Each new qubit is the most
+    significant digit so far; metrics are clamped at every step, as in a stage.
     """
     n = code.n
     if n > MAX_BRUTE_FORCE_QUBITS:
@@ -447,50 +436,42 @@ def _enumerate_errors(code: ConvolutionalCode, schedule: ChannelSchedule):
             f"this code has n = {n}"
         )
     _check_schedule(code, schedule)
-    count = 1 << (2 * n)
-    e = np.arange(count, dtype=np.uint32)
     mt = metric_table(schedule)
-    metric = np.zeros(count, dtype=np.int64)
+    shifts = np.arange(len(code.generators), dtype=np.int32)
+    masks = (_single_qubit_syndromes(code) << shifts).sum(axis=2, dtype=np.int32)
+    metric, syn_idx = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
     for q in range(n):
-        digit = ((e >> np.uint32(2 * q)) & np.uint32(3)).astype(np.uint8)
-        metric = np.maximum(metric + mt[q][digit], DEAD_METRIC)
-    syn_idx = np.zeros(count, dtype=np.int32)
-    for g_pos, g in enumerate(code.generators):
-        bit = np.zeros(count, dtype=np.uint8)
-        for q in g.support():
-            digit = ((e >> np.uint32(2 * (q - 1))) & np.uint32(3)).astype(np.uint8)
-            bit ^= _SP1[digit, g.code_at(q)]
-        syn_idx |= bit.astype(np.int32) << g_pos
+        total = mt[q][:, None] + metric
+        metric = np.maximum(total, DEAD_METRIC, out=total).ravel()
+        syn_idx = (masks[q][:, None] ^ syn_idx).ravel()
     return metric, syn_idx
 
 
-def _codes_of_index(e: int, n: int) -> list[int]:
-    return [(e >> (2 * q)) & 3 for q in range(n)]
+def _single_qubit_syndromes(code: ConvolutionalCode) -> np.ndarray:
+    """(n, 4, 4N+2) syndrome bits of code a on qubit q alone, at [q, a]."""
+    singles = np.kron(np.eye(code.n, dtype=np.uint8), np.arange(4, dtype=np.uint8)[:, None])
+    return commutation_bits(singles, code.generator_table).reshape(code.n, 4, -1)
 
 
-def _syndrome_index(syn: Syndrome) -> int:
-    out = 0
-    for pos, bit in enumerate(syn.bits):
-        out |= bit << pos
-    return out
+def codes_of_index(index, n: int) -> np.ndarray:
+    """(..., n) uint8 codes of oracle error indices, qubit q in base-4 digit q-1."""
+    return ((np.asarray(index)[..., None] >> (2 * np.arange(n))) & 3).astype(np.uint8)
 
 
 def brute_force_ml(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndrome) -> DecodeResult:
     """Exhaustive maximum-likelihood decode; the oracle viterbi is tested against.
 
     Shares the quantized metric and the deterministic tie-break with the
-    trellis decoder, but knows nothing of its stage structure.
+    trellis decoder, but knows nothing of its stage structure.  Looks the
+    syndrome up in :func:`brute_force_table`.
     """
-    _check_inputs(code, schedule, syn)
-    metric, syn_idx = _enumerate_errors(code, schedule)
-    candidates = np.flatnonzero(syn_idx == _syndrome_index(syn))
-    values = metric[candidates]
-    if values.size == 0 or values.max() <= DEAD_METRIC:
+    syndromes = _check_inputs(code, schedule, syn)
+    ll, winner, tie, feasible = brute_force_table(code, schedule)
+    s = int(syndromes[0] @ (1 << np.arange(syndromes.shape[1])))
+    if not feasible[s]:
         raise InfeasibleSyndromeError("no positive-probability error matches this syndrome")
-    best = values.max()
-    hits = candidates[values == best]
-    error = pauli_from_codes(_codes_of_index(int(hits[0]), code.n))
-    return DecodeResult(error, log_likelihood(schedule, error), bool(hits.size > 1))
+    error = pauli_from_codes(codes_of_index(winner[s], code.n))
+    return DecodeResult(error, float(ll[s]), bool(tie[s]))
 
 
 def brute_force_table(code: ConvolutionalCode, schedule: ChannelSchedule):
@@ -505,21 +486,13 @@ def brute_force_table(code: ConvolutionalCode, schedule: ChannelSchedule):
     best = np.full(n_syndromes, DEAD_METRIC, dtype=np.int64)
     np.maximum.at(best, syn_idx, metric)
     feasible = best > DEAD_METRIC
-    sel = (metric == best[syn_idx]) & (metric > DEAD_METRIC)
-    idx = np.flatnonzero(sel)
+    idx = np.flatnonzero((metric == best[syn_idx]) & (metric > DEAD_METRIC))
     winner = np.full(n_syndromes, -1, dtype=np.int64)
     uniq, first = np.unique(syn_idx[idx], return_index=True)
     winner[uniq] = idx[first]
     counts = np.bincount(syn_idx[idx], minlength=n_syndromes)
-
-    logp = schedule.log_prob_by_code()
     ll = np.full(n_syndromes, -np.inf)
-    for s in np.flatnonzero(feasible):
-        codes = _codes_of_index(int(winner[s]), code.n)
-        total = logp[0][codes[0]]
-        for q in range(1, code.n):
-            total = total + logp[q][codes[q]]
-        ll[s] = total
+    ll[feasible] = log_likelihoods(schedule, codes_of_index(winner[feasible], code.n))
     return ll, winner, counts > 1, feasible
 
 

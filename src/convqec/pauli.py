@@ -12,6 +12,10 @@ the same value here.  Signed Paulis exist only in :mod:`convqec.tableau`.
 Storing bit vectors as Python integers gives word-level XOR/AND/popcount, so
 symplectic products and multiplications on ~10^4 qubits cost O(n/64) machine
 words.
+
+The commutation rule lives here alone, batched in :func:`commutation_bits`,
+which every syndrome, logical action, code check, tableau sign and the oracle
+use (:func:`symplectic_product` is the bigint reference for one pair).
 """
 
 from __future__ import annotations
@@ -47,17 +51,13 @@ class Pauli:
         if self.x & ~mask or self.z & ~mask:
             raise ValueError("bit vector extends past the declared qubit count")
 
-    def code_at(self, q: int) -> int:
-        """Integer code (2*x + z) of the tensor factor on qubit q (1-based)."""
-        return 2 * ((self.x >> (q - 1)) & 1) + ((self.z >> (q - 1)) & 1)
-
     def codes(self) -> list[int]:
         """Per-qubit codes for qubits 1..n."""
-        return (2 * _unpack(self.x, self.n) + _unpack(self.z, self.n)).tolist()
+        return code_rows([self])[0].tolist()
 
     def support(self) -> list[int]:
         """1-based positions of the non-identity tensor factors."""
-        return (np.flatnonzero(_unpack(self.x | self.z, self.n)) + 1).tolist()
+        return (_sparse(self)[0] + 1).tolist()
 
     def __mul__(self, other: "Pauli") -> "Pauli":
         return multiply(self, other)
@@ -68,14 +68,26 @@ class Pauli:
 
 def _pack(bits: np.ndarray) -> int:
     """Integer whose bit q is bits[q].  Converting whole byte strings keeps
-    this and :func:`_unpack` linear in n; a shift per qubit is quadratic."""
+    this and :func:`code_rows` linear in n; a shift per qubit is quadratic."""
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def _unpack(value: int, n: int) -> np.ndarray:
-    """(n,) uint8 bits of ``value``, bit q at index q."""
-    raw = np.frombuffer(value.to_bytes((n + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, count=n, bitorder="little")
+def code_rows(paulis) -> np.ndarray:
+    """(len(paulis), n) uint8 per-qubit codes of operators on n qubits, one row each."""
+    n, width = paulis[0].n, (paulis[0].n + 7) // 8
+    raw = b"".join(v.to_bytes(width, "little") for p in paulis for v in (p.x, p.z))
+    bits = np.frombuffer(raw, dtype=np.uint8).reshape(len(paulis), 2, width)
+    bits = np.unpackbits(bits, axis=2, count=n, bitorder="little")
+    return 2 * bits[:, 0] + bits[:, 1]
+
+
+def _sparse(p: Pauli) -> tuple[np.ndarray, np.ndarray]:
+    """0-based support of ``p`` and its codes, from its first to last non-identity qubit."""
+    v = p.x | p.z
+    lo = max((v & -v).bit_length() - 1, 0)
+    window = code_rows([Pauli(max(v.bit_length() - lo, 1), p.x >> lo, p.z >> lo)])[0]
+    at = np.flatnonzero(window)
+    return at + lo, window[at]
 
 
 def identity(n: int) -> Pauli:
@@ -135,3 +147,43 @@ def shift(p: Pauli, k: int, n_total: int) -> Pauli:
     if k + p.n > n_total:
         raise ValueError(f"shift by {k} overflows {n_total} qubits (operator has {p.n})")
     return Pauli(n_total, p.x << k, p.z << k)
+
+
+@dataclass(frozen=True, eq=False)
+class SupportTable:
+    """Supports of m operators on n qubits, padded to the largest weight w: slot s
+    of operator j is qubit ``qubits[s, j]`` (0-based) and the code of its letter
+    with x and z exchanged, ``swapped[s, j, 0]``; padding holds the identity."""
+
+    n: int
+    qubits: np.ndarray   # (w, m) intp
+    swapped: np.ndarray  # (w, m, 1) uint8
+
+
+def support_table(operators, n: int) -> SupportTable:
+    """Table of ``operators``, built from the bytes of each one: O(m * n / 8)
+    time and O(m * w) memory, never a dense m x n matrix."""
+    if any(p.n != n for p in operators):
+        raise ValueError(f"every operator must act on {n} qubits")
+    qubits = np.zeros((max(map(weight, operators), default=0), len(operators)), dtype=np.intp)
+    letters = np.zeros(qubits.shape + (1,), dtype=np.uint8)
+    for j, p in enumerate(operators):
+        q, c = _sparse(p)
+        qubits[:len(q), j], letters[:len(c), j, 0] = q, c
+    return SupportTable(n, qubits, ((letters & 1) << 1) | (letters >> 1))
+
+
+def commutation_bits(codes, table: SupportTable) -> np.ndarray:
+    """(B, m) uint8 commutation bits of each row of a (B, n) code matrix against
+    each operator of ``table``, 1 where they anticommute.  The loop runs over
+    support slots, each gathering one qubit's column for every operator."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or codes.shape[1] != table.n or ((codes < 0) | (codes > 3)).any():
+        raise ValueError(f"expected a (rows, {table.n}) matrix of codes in 0..3")
+    columns = np.ascontiguousarray(codes.T, dtype=np.uint8)
+    # a & swapped(b) holds x_a z_b and z_a x_b: letters a and b anticommute iff
+    # its parity is odd, and parities add under XOR, so one parity at the end
+    both = np.zeros((table.qubits.shape[1], len(codes)), dtype=np.uint8)
+    for qubits, swapped in zip(table.qubits, table.swapped):
+        both ^= columns[qubits] & swapped
+    return ((both ^ (both >> 1)) & 1).T

@@ -5,7 +5,8 @@ multiplies the sampled and decoded errors.  That residual always has zero
 syndrome (asserted on every trial); the trial is a success exactly when the
 residual lies in the stabilizer group, i.e. its commutation bits against
 every logical operator vanish.  Decoding to a different error than the one
-sampled is fine as long as they differ by a stabilizer element.
+sampled is fine as long as they differ by a stabilizer element.  Errors are
+(trials, n) code matrices, checked by :func:`convqec.pauli.commutation_bits`.
 
 Determinism: all randomness is drawn from Philox streams keyed as follows.
 
@@ -28,8 +29,8 @@ import numpy as np
 
 from .channel import ChannelSchedule, depolarizing, make_rng, sample_error_codes
 from .code import ConvolutionalCode, Syndrome, build_code, logical_action, syndrome_of
-from .decoder import _SP1, _codes_of_index, brute_force_table, decode_batch, viterbi_decode
-from .pauli import Pauli, multiply, pauli_from_codes
+from .decoder import brute_force_table, codes_of_index, decode_batch, viterbi_decode
+from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -80,28 +81,10 @@ def classify_residual(code: ConvolutionalCode, sampled: Pauli, decoded: Pauli) -
     return logical_action(code, multiply(sampled, decoded))
 
 
-def _operator_bits_batch(code_mat: np.ndarray, operators) -> np.ndarray:
-    """Commutation bits of each row of ``code_mat`` against each operator."""
-    trials = code_mat.shape[0]
-    out = np.zeros((trials, len(operators)), dtype=np.uint8)
-    for col, op in enumerate(operators):
-        acc = np.zeros(trials, dtype=np.uint8)
-        for q in op.support():
-            acc ^= _SP1[code_mat[:, q - 1], op.code_at(q)]
-        out[:, col] = acc
-    return out
-
-
 def syndrome_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.ndarray:
-    """(trials, 4N+2) syndrome bits for a batch of errors given as code rows."""
-    return _operator_bits_batch(code_mat, code.generators)
-
-
-def _logical_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.ndarray:
-    ops = []
-    for lx, lz in zip(code.logical_x, code.logical_z):
-        ops.extend((lx, lz))
-    return _operator_bits_batch(code_mat, ops)
+    """(trials, 4N+2) syndrome bits of a (trials, n) matrix of codes in 0..3;
+    any other shape or value raises ValueError."""
+    return commutation_bits(code_mat, code.generator_table)
 
 
 def run_trials(
@@ -143,7 +126,7 @@ def run_trials(
         live = np.flatnonzero(feasible)
         if syndrome_bits_batch(code, residual[live]).any():
             raise AssertionError("residual error has nonzero syndrome; decoder is broken")
-        actions = _logical_bits_batch(code, residual[live])
+        actions = commutation_bits(residual[live], code.logical_table)
         logical_errors += int((actions.any(axis=1)).sum())
         infeasible += int(batch - live.size)
         done += batch
@@ -180,19 +163,15 @@ def collect_trials(
         decoded = decode_batch(code, schedule, syndromes).codes
     elif decoder == "brute":
         _, winner, _, _ = brute_force_table(code, schedule)
-        weights = (1 << np.arange(syndromes.shape[1])).astype(np.int64)
-        syn_idx = (syndromes.astype(np.int64) * weights).sum(axis=1)
-        decoded = np.array(
-            [_codes_of_index(int(winner[s]), code.n) for s in syn_idx], dtype=np.uint8
-        )
+        decoded = codes_of_index(winner[syndromes @ (1 << np.arange(syndromes.shape[1]))], code.n)
     else:
         raise ValueError(f"unknown decoder {decoder!r}")
-    outcomes = []
-    for t in range(trials):
-        s_p = pauli_from_codes(sampled[t])
-        d_p = pauli_from_codes(decoded[t])
-        outcomes.append(TrialOutcome(s_p, d_p, classify_residual(code, s_p, d_p)))
-    return outcomes
+    residual = sampled ^ decoded  # codes XOR as the operators multiply
+    if syndrome_bits_batch(code, residual).any():
+        raise ValueError("sampled and decoded errors have different syndromes")
+    actions = commutation_bits(residual, code.logical_table).tolist()
+    return [TrialOutcome(pauli_from_codes(s), pauli_from_codes(d), tuple(bits))
+            for s, d, bits in zip(sampled, decoded, actions)]
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .pauli import Pauli
+from .pauli import Pauli, commutation_bits, support_table
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2}
 
@@ -73,11 +73,6 @@ class SignedPauli:
 
     def __str__(self) -> str:
         return ("-" if self.sign else "+") + str(self.pauli)
-
-
-def _phase_of_signed(sp: SignedPauli) -> int:
-    y_count = (sp.pauli.x & sp.pauli.z).bit_count()
-    return (y_count + 2 * sp.sign) % 4
 
 
 class StabilizerTableau:
@@ -136,9 +131,7 @@ class StabilizerTableau:
         anticommuting rows."""
         if e.n != self.n:
             raise ValueError(f"error acts on {e.n} qubits, tableau has {self.n}")
-        ex = np.array([(e.x >> q) & 1 for q in range(self.n)], dtype=np.int64)
-        ez = np.array([(e.z >> q) & 1 for q in range(self.n)], dtype=np.int64)
-        anti = (self.x.astype(np.int64) @ ez + self.z.astype(np.int64) @ ex) % 2
+        anti = commutation_bits(2 * self.x + self.z, support_table([e], self.n))[:, 0]
         self.phase = (self.phase + 2 * anti) % 4
 
     def _row_ints(self, r: int) -> tuple[int, int]:
@@ -186,6 +179,7 @@ class GroupSolver:
 
     def __init__(self, t: StabilizerTableau):
         self.n = t.n
+        self.codes = 2 * t.x + t.z
         self.rows: list[tuple[int, int, int]] = []
         self.basis = gf2.RowBasis()
         for r in range(t.x.shape[0]):
@@ -218,9 +212,8 @@ class GroupSolver:
 
     def measure(self, observable: Pauli) -> int | None:
         self._check(observable)
-        for rx, rz, _ in self.rows:
-            if ((observable.x & rz) ^ (observable.z & rx)).bit_count() & 1:
-                return None
+        if commutation_bits(self.codes, support_table([observable], self.n)).any():
+            return None
         sign = self.sign_of(observable)
         if sign is None:
             raise ValueError("observable commutes with all rows but is outside the group")

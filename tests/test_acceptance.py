@@ -25,7 +25,7 @@ from convqec.code import (
     syndrome_of,
     verify_code,
 )
-from convqec.decoder import _codes_of_index, _tables, brute_force_table, viterbi_decode
+from convqec.decoder import _tables, brute_force_table, codes_of_index, viterbi_decode
 from convqec.pauli import pauli_from_codes
 from convqec.sim import classify_residual, run_trials, syndrome_bits_batch
 from convqec.tableau import StabilizerTableau
@@ -99,7 +99,7 @@ def test_acceptance_3_oracle_equivalence():
             result = viterbi_decode(code, schedule, Syndrome(bits))
             assert feasible[index]
             assert abs(result.log_likelihood - ll_table[index]) <= 1e-9
-            assert list(result.error.codes()) == _codes_of_index(int(winner[index]), 7)
+            assert list(result.error.codes()) == codes_of_index(winner[index], 7).tolist()
             assert result.tie_broken == bool(tie_table[index])
 
     code = build_code(2)
@@ -117,7 +117,7 @@ def test_acceptance_3_oracle_equivalence():
             index = sum(b << i for i, b in enumerate(syn.bits))
             result = viterbi_decode(code, schedule, syn)
             assert abs(result.log_likelihood - ll_table[index]) <= 1e-9
-            assert list(result.error.codes()) == _codes_of_index(int(winner[index]), 12)
+            assert list(result.error.codes()) == codes_of_index(winner[index], 12).tolist()
             seen += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 900.0, f"oracle equivalence took {elapsed:.1f}s, budget is 15min"

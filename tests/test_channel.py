@@ -13,12 +13,13 @@ from convqec.channel import (
     channel_to_config,
     depolarizing,
     log_likelihood,
+    log_likelihoods,
     make_rng,
     sample_error,
     sample_error_codes,
     schedule_from_probs,
 )
-from convqec.pauli import identity, pauli_from_string, weight
+from convqec.pauli import identity, pauli_from_codes, pauli_from_string, weight
 
 
 def test_depolarizing_rows():
@@ -116,6 +117,29 @@ def test_log_likelihood_additive_over_disjoint_supports():
         lhs = log_likelihood(s, multiply(a, b))
         rhs = log_likelihood(s, a) + log_likelihood(s, b) - log_likelihood(s, identity(16))
         assert lhs == pytest.approx(rhs, abs=1e-12)
+
+
+def test_log_likelihoods_bit_exact_against_per_qubit_loop():
+    """The batched sum adds left to right, as a per-qubit loop does: compared
+    with ==, on a channel with zero-probability components, over enough rows
+    to span several chunks."""
+    rng = np.random.default_rng(23)
+    n = 300
+    probs = rng.dirichlet(np.ones(4), size=n)
+    probs[[0, 150], 0] += probs[[0, 150], 2]
+    probs[[0, 150], 2] = 0.0  # Y is forbidden on qubits 1 and 151
+    s = schedule_from_probs(probs)
+    codes = rng.integers(0, 4, size=(700, n)).astype(np.uint8)
+    table = s.log_prob_by_code()
+    got = log_likelihoods(s, codes)
+    for row, value in zip(codes, got):
+        total = 0.0
+        for q, code in enumerate(row):
+            total = total + float(table[q, code])
+        assert value == total
+    assert np.isinf(got).any() and np.isfinite(got).any()
+    assert [log_likelihood(s, pauli_from_codes(row)) for row in codes[:20]] == got[:20].tolist()
+    assert log_likelihoods(s, codes[:0]).shape == (0,)
 
 
 def test_config_round_trip_is_bit_exact():

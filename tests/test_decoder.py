@@ -17,9 +17,9 @@ from convqec.channel import (
 from convqec.code import Syndrome, build_code, syndrome_of
 from convqec.decoder import (
     InfeasibleSyndromeError,
-    _codes_of_index,
     brute_force_ml,
     brute_force_table,
+    codes_of_index,
     decode_batch,
     initial_live_count,
     survivor_merge_lag,
@@ -56,7 +56,7 @@ def assert_matches_oracle(code, schedule, pairs):
             continue
         result = viterbi_decode(code, schedule, syn)
         assert result.log_likelihood == ll_table[index]
-        assert list(result.error.codes()) == _codes_of_index(int(winner[index]), code.n)
+        assert list(result.error.codes()) == codes_of_index(winner[index], code.n).tolist()
         assert result.tie_broken == bool(tie_table[index])
         assert syndrome_of(code, result.error).bits == syn.bits
 
@@ -108,6 +108,25 @@ def test_oracle_equivalence_two_blocks_sampled():
         syn = syndrome_of(code, sample_error(schedule, rng))
         pairs.append((sum(b << i for i, b in enumerate(syn.bits)), syn))
     assert_matches_oracle(code, schedule, pairs)
+
+
+def test_brute_force_ml_agrees_with_its_table_and_keeps_its_errors():
+    code = build_code(1)
+    for schedule in (random_schedule(7, np.random.default_rng(3), zero_fraction=0.3), depolarizing(7, 0.0)):
+        for _, syn in all_syndromes(code):
+            try:
+                expected = viterbi_decode(code, schedule, syn)
+            except InfeasibleSyndromeError:
+                with pytest.raises(InfeasibleSyndromeError):
+                    brute_force_ml(code, schedule, syn)
+                continue
+            assert brute_force_ml(code, schedule, syn) == expected
+    with pytest.raises(ValueError, match="syndrome has"):
+        brute_force_ml(code, schedule, Syndrome((0,) * 5))
+    with pytest.raises(ValueError, match="0 or 1"):
+        brute_force_ml(code, schedule, Syndrome((0, 2, 0, 0, 0, 0)))
+    with pytest.raises(ValueError, match="schedule covers"):
+        brute_force_ml(code, depolarizing(8, 0.1), Syndrome((0,) * 6))
 
 
 def test_brute_force_refuses_large_codes():
@@ -276,7 +295,7 @@ def test_relabeling_x_and_z_relabels_the_decoded_error():
         r1 = viterbi_decode(code, schedule, syn)
         if r1.tie_broken or tie_table[index]:
             continue  # the tie order reads raw codes and is not swap-invariant
-        assert list(relabel(r1.error).codes()) == _codes_of_index(int(winner[index]), 12)
+        assert list(relabel(r1.error).codes()) == codes_of_index(winner[index], 12).tolist()
         checked += 1
     assert checked > 20
 

@@ -6,11 +6,14 @@ import pytest
 from convqec.pauli import (
     CODE_CHARS,
     Pauli,
+    code_rows,
+    commutation_bits,
     identity,
     multiply,
     pauli_from_codes,
     pauli_from_string,
     shift,
+    support_table,
     symplectic_product,
     weight,
 )
@@ -153,7 +156,7 @@ def test_support_and_codes():
     p = pauli_from_string("IZIXIZ")
     assert p.support() == [2, 4, 6]
     assert p.codes() == [0, 1, 0, 2, 0, 1]
-    assert p.code_at(4) == 2
+    assert p.codes()[3] == 2
 
 
 def test_large_round_trips_match_codes():
@@ -170,3 +173,25 @@ def test_pauli_from_codes_rejects_out_of_range_codes():
     for bad in ([0, 4], [5, 0, 0], [1, -1], np.array([0, 7], dtype=np.uint8)):
         with pytest.raises(ValueError, match="0..3"):
             pauli_from_codes(bad)
+
+
+def test_commutation_bits_match_symplectic_product():
+    rng = np.random.default_rng(14)
+    n = 37
+    ops = [_random_pauli(rng, n) for _ in range(9)] + [identity(n), pauli_from_string("I" * 36 + "Y")]
+    errors = [_random_pauli(rng, n) for _ in range(25)] + [identity(n)]
+    bits = commutation_bits(code_rows(errors), support_table(ops, n))
+    assert bits.dtype == np.uint8
+    assert bits.tolist() == [[symplectic_product(e, op) for op in ops] for e in errors]
+    assert commutation_bits(np.zeros((0, n), dtype=np.uint8), support_table(ops, n)).shape == (0, 11)
+    # a table of identities has no support slots at all
+    assert commutation_bits(code_rows(errors), support_table([identity(n)] * 3, n)).tolist() == [[0] * 3] * 26
+
+
+def test_commutation_bits_validates_code_matrix():
+    table = support_table([pauli_from_string("ZXXZ")], 4)
+    for bad in (np.zeros((2, 5), dtype=np.uint8), np.zeros(4, dtype=np.uint8), [[0, 1, 4, 0]], [[0, -1, 0, 0]]):
+        with pytest.raises(ValueError):
+            commutation_bits(bad, table)
+    with pytest.raises(ValueError):
+        support_table([pauli_from_string("XX")], 4)

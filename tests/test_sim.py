@@ -2,11 +2,19 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from convqec.channel import depolarizing
-from convqec.code import build_code
-from convqec.pauli import multiply, pauli_from_string
+from convqec.code import build_code, logical_action, syndrome_of
+from convqec.pauli import (
+    code_rows,
+    commutation_bits,
+    multiply,
+    pauli_from_codes,
+    pauli_from_string,
+    symplectic_product,
+)
 from convqec.sim import (
     classify_residual,
     collect_trials,
@@ -15,6 +23,7 @@ from convqec.sim import (
     rows_to_json,
     run_trials,
     sweep,
+    syndrome_bits_batch,
     wilson_interval,
 )
 
@@ -173,3 +182,32 @@ def test_json_rows_match_csv_fields():
         "N", "n", "p_or_schedule_id", "trials", "logical_errors", "rate",
         "ci_low", "ci_high", "seed", "elapsed_s",
     }
+
+
+def test_syndrome_bits_batch_validates_code_matrix():
+    code = build_code(2)
+    for bad in (
+        np.zeros((3, code.n + 5), dtype=np.uint8),
+        np.zeros((3, code.n - 1), dtype=np.uint8),
+        np.full((3, code.n), -1),
+        np.full((3, code.n), 7, dtype=np.uint8),
+    ):
+        with pytest.raises(ValueError):
+            syndrome_bits_batch(code, bad)
+
+
+def test_single_operator_paths_match_batched_rows():
+    code = build_code(3)
+    rng = np.random.default_rng(8)
+    codes = rng.integers(0, 4, size=(40, code.n)).astype(np.uint8)
+    for row, bits in zip(codes, syndrome_bits_batch(code, codes)):
+        assert syndrome_of(code, pauli_from_codes(row)).bits == tuple(bits.tolist())
+    ops = code.generators + code.logical_x + code.logical_z
+    for _ in range(20):  # zero-syndrome products of generators and logicals
+        p = pauli_from_string("I" * code.n)
+        for k in np.flatnonzero(rng.integers(0, 2, len(ops))):
+            p = multiply(p, ops[k])
+        batched = commutation_bits(code_rows([p]), code.logical_table)[0].tolist()
+        assert logical_action(code, p) == tuple(batched)
+        logicals = [op for pair in zip(code.logical_x, code.logical_z) for op in pair]
+        assert batched == [symplectic_product(p, op) for op in logicals]
