@@ -4,6 +4,8 @@ channels."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     ChannelSchedule,
     channel_from_config,
@@ -69,4 +71,5 @@ from .sim import (
 )
 from .tableau import CliffordGate, SignedPauli, StabilizerTableau, gate_cx, gate_cz, gate_h
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

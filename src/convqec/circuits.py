@@ -21,14 +21,21 @@ Applied to a computational basis state with information bits at positions
 5i+1, the circuit maps the initial Z stabilizers row-by-row onto the code's
 generators and signed logical Zs; this tableau-level contract is the ground
 truth the tests enforce, independent of any particular gate transcription.
+
+This module holds no conjugation rules of its own: errors are propagated,
+and gate pairs checked for commutation, as rows of a
+:class:`~convqec.tableau.StabilizerTableau`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from .pauli import Pauli, pauli_from_codes
-from .tableau import CliffordGate, gate_cx, gate_cz, gate_h
+import numpy as np
+
+from .pauli import Pauli, code_rows
+from .tableau import CliffordGate, StabilizerTableau, gate_cx, gate_cz, gate_h
 
 
 @dataclass(frozen=True)
@@ -79,50 +86,33 @@ def build_decoding_circuit(blocks: int) -> LayeredCircuit:
     return LayeredCircuit(enc.n, tuple(reversed(enc.layers)))
 
 
-def _conjugate_signed(x: int, z: int, phase: int, gate: CliffordGate) -> tuple[int, int, int]:
-    """Conjugate i^phase * prod X^x Z^z through one gate (bit-packed, exact)."""
-    if gate.kind == "H":
-        q = gate.qubits[0] - 1
-        xq, zq = (x >> q) & 1, (z >> q) & 1
-        phase = (phase + 2 * (xq & zq)) % 4
-        x ^= (xq ^ zq) << q
-        z ^= (xq ^ zq) << q
-    elif gate.kind == "CX":
-        c, t = (q - 1 for q in gate.qubits)
-        x ^= ((x >> c) & 1) << t
-        z ^= ((z >> t) & 1) << c
-    elif gate.kind == "CZ":
-        c, t = (q - 1 for q in gate.qubits)
-        xc, xt = (x >> c) & 1, (x >> t) & 1
-        phase = (phase + 2 * (xc & xt)) % 4
-        z ^= (xc << t) | (xt << c)
-    else:
-        raise ValueError(f"cannot propagate through gate kind {gate.kind!r}")
-    return x, z, phase
-
-
 def gates_commute(a: CliffordGate, b: CliffordGate) -> bool:
-    """Exact commutation check by conjugating X_q/Z_q generators both ways."""
-    support = sorted(set(a.qubits) | set(b.qubits))
-    if len(support) == len(a.qubits) + len(b.qubits):
+    """Exact commutation check: the X_q and Z_q of every qubit the gates touch,
+    conjugated through a then b and through b then a, agree with their signs."""
+    if set(a.qubits).isdisjoint(b.qubits):
         return True
-    for q in support:
-        for seed_x, seed_z in ((1 << (q - 1), 0), (0, 1 << (q - 1))):
-            ab = _conjugate_signed(*_conjugate_signed(seed_x, seed_z, 0, a), b)
-            ba = _conjugate_signed(*_conjugate_signed(seed_x, seed_z, 0, b), a)
-            if ab != ba:
-                return False
-    return True
+    # the answer depends only on the support, so renumber it 1..k: k-column
+    # rows stay in numpy's small-buffer cache instead of the heap
+    local = {q: i for i, q in enumerate(sorted({*a.qubits, *b.qubits}), start=1)}
+    a, b = (CliffordGate(g.kind, tuple(local[q] for q in g.qubits)) for g in (a, b))
+    z_rows = np.eye(len(local), dtype=np.uint8)
+    ab = StabilizerTableau.from_codes(np.concatenate([2 * z_rows, z_rows]))  # X_q rows, then Z_q rows
+    ba = ab.copy()
+    ab.apply_gates((a, b))
+    ba.apply_gates((b, a))
+    return all(np.array_equal(u, v) for u, v in ((ab.x, ba.x), (ab.z, ba.z), (ab.phase, ba.phase)))
 
 
 def verify_layer_commutation(circuit: LayeredCircuit) -> bool:
     """True iff every pair of gates inside each layer commutes."""
-    for layer in circuit.layers:
-        for i in range(len(layer)):
-            for j in range(i + 1, len(layer)):
-                if not gates_commute(layer[i], layer[j]):
-                    return False
-    return True
+    return all(gates_commute(a, b) for layer in circuit.layers for a, b in combinations(layer, 2))
+
+
+def _propagated(circuit: LayeredCircuit, codes: np.ndarray, from_layer: int) -> StabilizerTableau:
+    """Rows of ``codes`` conjugated through layers from_layer..end in one pass."""
+    t = StabilizerTableau.from_codes(codes)
+    t.apply_gates(gate for layer in circuit.layers[from_layer:] for gate in layer)
+    return t
 
 
 def propagate_error(circuit: LayeredCircuit, e: Pauli, from_layer: int) -> Pauli:
@@ -135,25 +125,18 @@ def propagate_error(circuit: LayeredCircuit, e: Pauli, from_layer: int) -> Pauli
         raise ValueError(f"error acts on {e.n} qubits, circuit has {circuit.n}")
     if not 0 <= from_layer <= len(circuit.layers):
         raise ValueError(f"from_layer {from_layer} out of range 0..{len(circuit.layers)}")
-    x, z = e.x, e.z
-    for layer in circuit.layers[from_layer:]:
-        for gate in layer:
-            x, z, _ = _conjugate_signed(x, z, 0, gate)
-    return Pauli(e.n, x, z)
+    return _propagated(circuit, code_rows([e]), from_layer).rows()[0].pauli
 
 
 def max_error_spread(circuit: LayeredCircuit) -> int:
     """Worst-case weight of a propagated single-qubit error, over all
-    positions, Pauli kinds, and insertion layers."""
+    positions, Pauli kinds, and insertion layers.  The 3n single-qubit errors
+    are the rows of one tableau per insertion layer."""
+    singles = np.kron(np.eye(circuit.n, dtype=np.uint8), np.arange(1, 4, dtype=np.uint8)[:, None])
     worst = 0
     for from_layer in range(len(circuit.layers) + 1):
-        for q in range(1, circuit.n + 1):
-            for letter in (1, 2, 3):
-                codes = [0] * circuit.n
-                codes[q - 1] = letter
-                out = propagate_error(circuit, pauli_from_codes(codes), from_layer)
-                w = (out.x | out.z).bit_count()
-                worst = max(worst, w)
+        t = _propagated(circuit, singles, from_layer)
+        worst = max(worst, int((t.x | t.z).sum(axis=1).max()))
     return worst
 
 

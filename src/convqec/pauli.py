@@ -106,11 +106,16 @@ def pauli_from_string(s: str) -> Pauli:
     return Pauli(len(s), int(digits.translate(_X_DIGITS), 2), int(digits.translate(_Z_DIGITS), 2))
 
 
+def _are_codes(codes: np.ndarray) -> bool:
+    """True iff every entry is an integer code in 0..3: a float would be truncated."""
+    return codes.size == 0 or codes.dtype.kind in "biu" and not ((codes < 0) | (codes > 3)).any()
+
+
 def pauli_from_codes(codes) -> Pauli:
     """Build a Pauli from a sequence of per-qubit integer codes (2*x + z)."""
     codes = np.asarray(codes)
-    if ((codes < 0) | (codes > 3)).any():
-        raise ValueError("Pauli codes must be in 0..3")
+    if not _are_codes(codes):
+        raise ValueError("Pauli codes must be integers in 0..3")
     codes = codes.astype(np.uint8, copy=False)
     return Pauli(len(codes), _pack(codes >> 1), _pack(codes & 1))
 
@@ -178,8 +183,8 @@ def commutation_bits(codes, table: SupportTable) -> np.ndarray:
     each operator of ``table``, 1 where they anticommute.  The loop runs over
     support slots, each gathering one qubit's column for every operator."""
     codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != table.n or ((codes < 0) | (codes > 3)).any():
-        raise ValueError(f"expected a (rows, {table.n}) matrix of codes in 0..3")
+    if codes.ndim != 2 or codes.shape[1] != table.n or not _are_codes(codes):
+        raise ValueError(f"expected a (rows, {table.n}) matrix of integer codes in 0..3")
     columns = np.ascontiguousarray(codes.T, dtype=np.uint8)
     # a & swapped(b) holds x_a z_b and z_a x_b: letters a and b anticommute iff
     # its parity is odd, and parities add under XOR, so one parity at the end

@@ -1,16 +1,18 @@
-"""Signed stabilizer-tableau simulation for H/CX/CZ circuits.
+"""Signed stabilizer tableau: the one home of the Clifford conjugation rules.
 
-Each tableau row represents one stabilizer generator of an n-qubit state.
-Internally a row is stored as bit vectors (x, z) plus a phase exponent
-p mod 4, encoding the operator
+Each row is a signed Pauli operator on n qubits, stored as bit vectors
+(x, z) plus a phase exponent p mod 4, encoding
 
     i^p  *  prod_q X_q^{x_q} Z_q^{z_q}     (per-qubit XZ order).
 
 With the convention Y := i X Z this is exact, so all conjugation sign rules
 below are derivable by reordering X and Z factors; no lookup tables of
 special cases are needed.  A row is Hermitian iff p has the same parity as
-the number of Y factors, and states are only ever stabilized by Hermitian
-rows, so the externally visible sign is always +1 or -1.
+the number of Y factors, so the externally visible sign is +1 or -1.  The
+rows describe a stabilizer state only when they are independent and
+commute; as plain rows they also carry a batch of errors through a circuit
+in one pass (Aaronson-Gottesman, quant-ph/0406196), which is how
+:mod:`convqec.circuits` propagates faults and checks gate commutation.
 
 Conjugation rules (phase increments are mod 4):
 
@@ -76,13 +78,15 @@ class SignedPauli:
 
 
 class StabilizerTableau:
-    """Mutable stabilizer-state tableau; callers own their instance."""
+    """Mutable tableau of signed Pauli rows; callers own their instance.  Change
+    the rows only through the ``apply_*`` methods, which drop the cached solver."""
 
     def __init__(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
         self.x = x
         self.z = z
         self.phase = phase
         self.n = x.shape[1]
+        self._solver: GroupSolver | None = None
 
     @classmethod
     def from_bits(cls, bits, n: int | None = None) -> "StabilizerTableau":
@@ -91,10 +95,13 @@ class StabilizerTableau:
         if n is not None and bits.shape[0] != n:
             raise ValueError(f"got {bits.shape[0]} bits for {n} qubits")
         n = bits.shape[0]
-        x = np.zeros((n, n), dtype=np.uint8)
-        z = np.eye(n, dtype=np.uint8)
-        phase = (2 * bits.astype(np.int64)) % 4
-        return cls(x, z, phase)
+        return cls(np.zeros((n, n), dtype=np.uint8), np.eye(n, dtype=np.uint8), 2 * bits.astype(np.int64) % 4)
+
+    @classmethod
+    def from_codes(cls, codes: np.ndarray) -> "StabilizerTableau":
+        """One +1-signed row per row of a (rows, n) matrix of codes 2*x + z."""
+        x, z = (codes >> 1).astype(np.uint8), (codes & 1).astype(np.uint8)
+        return cls(x, z, (x & z).sum(axis=1, dtype=np.int64) % 4)
 
     def copy(self) -> "StabilizerTableau":
         return StabilizerTableau(self.x.copy(), self.z.copy(), self.phase.copy())
@@ -102,6 +109,7 @@ class StabilizerTableau:
     def apply_gate(self, gate: CliffordGate) -> None:
         if any(q > self.n for q in gate.qubits):
             raise ValueError(f"gate {gate} exceeds qubit count {self.n}")
+        self._solver = None
         if gate.kind == "H":
             q = gate.qubits[0] - 1
             self.phase = (self.phase + 2 * (self.x[:, q] & self.z[:, q])) % 4
@@ -132,6 +140,7 @@ class StabilizerTableau:
         if e.n != self.n:
             raise ValueError(f"error acts on {e.n} qubits, tableau has {self.n}")
         anti = commutation_bits(2 * self.x + self.z, support_table([e], self.n))[:, 0]
+        self._solver = None
         self.phase = (self.phase + 2 * anti) % 4
 
     def _row_ints(self, r: int) -> tuple[int, int]:
@@ -140,21 +149,19 @@ class StabilizerTableau:
         return xb, zb
 
     def rows(self) -> list[SignedPauli]:
-        out = []
-        for r in range(self.x.shape[0]):
-            xb, zb = self._row_ints(r)
-            p = Pauli(self.n, xb, zb)
-            y_count = (xb & zb).bit_count()
-            sign = ((int(self.phase[r]) - y_count) % 4) // 2
-            out.append(SignedPauli(p, sign))
-        return out
+        y_count = (self.x & self.z).sum(axis=1, dtype=np.int64)
+        signs = (self.phase - y_count) % 4 // 2
+        return [SignedPauli(Pauli(self.n, *self._row_ints(r)), int(s)) for r, s in enumerate(signs)]
 
     def dump(self) -> list[str]:
         """Sign-prefixed Pauli strings, one per row (for golden-file tests)."""
         return [str(sp) for sp in self.rows()]
 
     def solver(self) -> "GroupSolver":
-        return GroupSolver(self)
+        """Solver over the current rows, reused until the rows next change."""
+        if self._solver is None:
+            self._solver = GroupSolver(self)
+        return self._solver
 
     def stabilizes(self, sp: SignedPauli) -> bool:
         """True iff the signed operator is a product of the tableau rows."""
@@ -187,13 +194,10 @@ class GroupSolver:
             self.rows.append((xb, zb, int(t.phase[r])))
             self.basis.add(xb | (zb << self.n))
 
-    def _check(self, p: Pauli) -> None:
-        if p.n != self.n:
-            raise ValueError(f"operator acts on {p.n} qubits, tableau has {self.n}")
-
     def sign_of(self, p: Pauli) -> int | None:
         """External sign with which p appears in the row group, else None."""
-        self._check(p)
+        if p.n != self.n:
+            raise ValueError(f"operator acts on {p.n} qubits, tableau has {self.n}")
         mask = self.basis.combination(p.x | (p.z << self.n))
         if mask is None:
             return None
@@ -211,10 +215,11 @@ class GroupSolver:
         return ((phase - y_count) % 4) // 2
 
     def measure(self, observable: Pauli) -> int | None:
-        self._check(observable)
+        """Sign bit of a row-group member, which commutes with every row of a
+        state; None if some row anticommutes."""
+        sign = self.sign_of(observable)
+        if sign is not None:
+            return sign
         if commutation_bits(self.codes, support_table([observable], self.n)).any():
             return None
-        sign = self.sign_of(observable)
-        if sign is None:
-            raise ValueError("observable commutes with all rows but is outside the group")
-        return sign
+        raise ValueError("observable commutes with all rows but is outside the group")

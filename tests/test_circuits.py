@@ -17,7 +17,7 @@ from convqec.circuits import (
 )
 from convqec.code import build_code
 from convqec.pauli import pauli_from_codes, pauli_from_string
-from convqec.tableau import StabilizerTableau, gate_cx, gate_cz
+from convqec.tableau import CliffordGate, StabilizerTableau, gate_cx, gate_cz
 
 
 def _encoded_tableau(code, pattern):
@@ -107,6 +107,10 @@ def test_gates_commute_cases():
     assert not gates_commute(gate_cx(1, 2), gate_cx(2, 3))      # target feeds control
     assert not gates_commute(gate_cx(1, 2), gate_cz(2, 3))      # flip vs diagonal
     assert gates_commute(gate_cx(1, 2), gate_cz(3, 4))          # disjoint
+    assert not gates_commute(CliffordGate("X", (1,)), gate_cz(1, 2))  # X1 picks up Z2
+    assert gates_commute(CliffordGate("Z", (1,)), gate_cz(1, 2))      # both diagonal
+    assert not gates_commute(CliffordGate("Z", (2,)), gate_cx(1, 2))  # sign of X1 X2
+    assert gates_commute(CliffordGate("X", (2,)), gate_cx(1, 2))      # X on the target
 
 
 def test_propagate_identity():
@@ -128,6 +132,15 @@ def test_propagate_layer_index_bounds():
     # inserting after the final layer leaves the error untouched
     e = pauli_from_string("IIXIIII")
     assert propagate_error(circuit, e, len(circuit.layers)) == e
+
+
+def test_propagate_through_pauli_gates_and_past_qubit_count():
+    # a Pauli gate only flips signs, which a phase-free error does not carry
+    flips = LayeredCircuit(2, ((CliffordGate("X", (1,)), CliffordGate("Z", (2,))),))
+    assert str(propagate_error(flips, pauli_from_string("YX"), 0)) == "YX"
+    too_wide = LayeredCircuit(2, ((gate_cx(1, 3),),))
+    with pytest.raises(ValueError, match="exceeds qubit count"):
+        propagate_error(too_wide, pauli_from_string("XI"), 0)
 
 
 def test_max_error_spread_empty_circuit():

@@ -234,3 +234,12 @@ def test_console_script_entry_point():
     )
     assert proc.returncode == 0
     assert "convqec" in proc.stdout
+
+
+def test_package_all_names_no_modules():
+    import types
+
+    import convqec
+
+    assert {"build_code", "decode_batch", "StabilizerTableau"} <= set(convqec.__all__)
+    assert not [name for name in convqec.__all__ if isinstance(getattr(convqec, name), types.ModuleType)]

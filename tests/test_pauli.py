@@ -170,7 +170,7 @@ def test_large_round_trips_match_codes():
 
 
 def test_pauli_from_codes_rejects_out_of_range_codes():
-    for bad in ([0, 4], [5, 0, 0], [1, -1], np.array([0, 7], dtype=np.uint8)):
+    for bad in ([0, 4], [5, 0, 0], [1, -1], np.array([0, 7], dtype=np.uint8), [2.7, 0.5], [1.0, 2.0]):
         with pytest.raises(ValueError, match="0..3"):
             pauli_from_codes(bad)
 
@@ -190,8 +190,10 @@ def test_commutation_bits_match_symplectic_product():
 
 def test_commutation_bits_validates_code_matrix():
     table = support_table([pauli_from_string("ZXXZ")], 4)
-    for bad in (np.zeros((2, 5), dtype=np.uint8), np.zeros(4, dtype=np.uint8), [[0, 1, 4, 0]], [[0, -1, 0, 0]]):
+    for bad in (np.zeros((2, 5), dtype=np.uint8), np.zeros(4, dtype=np.uint8), [[0, 1, 4, 0]], [[0, -1, 0, 0]],
+                np.full((1, 4), 2.7), np.zeros((2, 4))):
         with pytest.raises(ValueError):
             commutation_bits(bad, table)
+    assert commutation_bits(np.zeros((0, 4)), table).shape == (0, 1)  # no rows, no values to truncate
     with pytest.raises(ValueError):
         support_table([pauli_from_string("XX")], 4)

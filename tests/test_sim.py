@@ -191,9 +191,11 @@ def test_syndrome_bits_batch_validates_code_matrix():
         np.zeros((3, code.n - 1), dtype=np.uint8),
         np.full((3, code.n), -1),
         np.full((3, code.n), 7, dtype=np.uint8),
+        np.full((3, code.n), 2.7),
     ):
         with pytest.raises(ValueError):
             syndrome_bits_batch(code, bad)
+    assert syndrome_bits_batch(code, np.zeros((0, code.n), dtype=np.uint8)).shape == (0, len(code.generators))
 
 
 def test_single_operator_paths_match_batched_rows():

@@ -1,11 +1,14 @@
 """Tests for the signed stabilizer tableau and its group solver."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
-from convqec.circuits import build_encoding_circuit
+from convqec.circuits import LayeredCircuit, build_encoding_circuit, propagate_error
 from convqec.code import build_code, syndrome_of
-from convqec.pauli import pauli_from_codes, pauli_from_string
+from convqec.pauli import code_rows, pauli_from_codes, pauli_from_string
 from convqec.tableau import (
     CliffordGate,
     SignedPauli,
@@ -70,6 +73,54 @@ def test_cz_conjugation():
     assert t.dump()[0] == "+XZ"
 
 
+_I2, _P0, _P1 = np.eye(2), np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+_X, _Z = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+_DENSE_1Q = {"H": (_X + _Z) / np.sqrt(2), "X": _X, "Z": _Z}
+
+
+def _dense(k, factors):
+    """2^k x 2^k tensor product with qubit 1 leftmost; absent qubits get I."""
+    return reduce(np.kron, [factors.get(q, _I2) for q in range(1, k + 1)])
+
+
+def _dense_gate(gate, k):
+    if gate.kind in ("CX", "CZ"):
+        c, t = gate.qubits
+        return _dense(k, {c: _P0}) + _dense(k, {c: _P1, t: _X if gate.kind == "CX" else _Z})
+    return _dense(k, {gate.qubits[0]: _DENSE_1Q[gate.kind]})
+
+
+def _dense_row(x, z, phase):
+    """i^phase * prod_q X_q^x_q Z_q^z_q, the operator a tableau row stores."""
+    factors = {q + 1: (_X if x[q] else _I2) @ (_Z if z[q] else _I2) for q in range(len(x))}
+    return 1j ** int(phase) * _dense(len(x), factors)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_conjugation_rules_match_dense_matrices(k):
+    """U P U^dagger for every signed Pauli on k qubits and every gate, from
+    dense matrices: apply_gate must give the same row, sign included, and
+    propagate_error the same Pauli up to sign."""
+    codes = np.array(list(itertools.product(range(4), repeat=k)), dtype=np.uint8)
+    gates = [CliffordGate(kind, (q,)) for kind in ("H", "X", "Z") for q in range(1, k + 1)]
+    gates += [CliffordGate(kind, pair) for kind in ("CX", "CZ")
+              for pair in itertools.permutations(range(1, k + 1), 2)]
+    for gate in gates:
+        u = _dense_gate(gate, k)
+        t = StabilizerTableau.from_codes(np.concatenate([codes, codes]))
+        t.phase[len(codes):] += 2  # the same Paulis with sign -1
+        t.phase %= 4
+        before = [_dense_row(*row) for row in zip(t.x, t.z, t.phase)]
+        t.apply_gate(gate)
+        for r, m in enumerate(before):
+            assert np.allclose(u @ m @ u.conj().T, _dense_row(t.x[r], t.z[r], t.phase[r])), (gate, r)
+        circuit = LayeredCircuit(k, ((gate,),))
+        for m, row in zip(before, codes):
+            out = code_rows([propagate_error(circuit, pauli_from_codes(row), 0)])[0]
+            image = _dense_row(out >> 1, out & 1, np.sum((out >> 1) & out))
+            assert any(np.allclose(u @ m @ u.conj().T, s * image) for s in (1, -1)), (gate, row)
+
+
 def test_double_hadamard_is_identity_on_random_circuit_state():
     rng = np.random.default_rng(3)
     t = StabilizerTableau.from_bits(rng.integers(0, 2, 6))
@@ -116,6 +167,22 @@ def test_measure_row_on_zero_state():
     t = StabilizerTableau.from_bits([0, 0])
     assert t.measure_row(pauli_from_string("ZI")) == 0
     assert t.measure_row(pauli_from_string("XI")) is None
+
+
+def test_solver_is_reused_until_the_rows_change():
+    t = StabilizerTableau.from_bits([0, 0])
+    assert t.solver() is t.solver()
+    assert t.measure_row(pauli_from_string("ZI")) == 0
+    t.apply_pauli_error(pauli_from_string("XI"))
+    assert t.measure_row(pauli_from_string("ZI")) == 1
+    t.apply_gate(gate_h(1))
+    assert t.measure_row(pauli_from_string("XI")) == 1
+    assert t.measure_row(pauli_from_string("ZI")) is None
+    assert t.copy().solver() is not t.solver()
+    partial = StabilizerTableau.from_codes(np.array([[1, 0]], dtype=np.uint8))  # the one row +ZI
+    assert partial.measure_row(pauli_from_string("XI")) is None
+    with pytest.raises(ValueError, match="outside the group"):
+        partial.measure_row(pauli_from_string("IZ"))
 
 
 def test_measure_row_matches_symplectic_syndrome():
