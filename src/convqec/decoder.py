@@ -29,10 +29,14 @@ reading the per-stage choices and metrics.  A stage is an add-compare-select
 on the split syndrome described at :class:`_TrellisTables`: the best
 survivor of each class, plus the best triple of the coset that leads from
 that class to a successor class, is maximised over classes and broadcast to
-the 16 new survivors with their pair metrics.  Coset maxima are computed up
-front, so a stage costs a few (B, 16) operations.  It records only which
-survivors and classes attained their maxima; a choice pass (``_choices``)
-per chunk of stages turns that into branches and tie flags.
+the 16 new survivors with their pair metrics.  Each class holds exactly one
+survivor per successor class, so the sequential recursion only needs the
+best sum of each successor class, four numbers per trial, advanced by a
+max-plus product whose tables are computed up front per chunk of stages;
+with one trial a stage is two numpy calls.  One vectorised pass per chunk
+then rebuilds the survivor metrics and records which survivors and classes
+attained their maxima, and a choice pass (``_choices``) turns that into
+branches and tie flags.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -126,6 +130,7 @@ class _TrellisTables:
 
     order: np.ndarray        # (16,) uint8 state at each position
     succ_w: np.ndarray       # (4, 4) successor class of the state at each position
+    succ_rank: np.ndarray    # (4, 4) position within class v of its state in successor class w
     xor: np.ndarray          # (16, 4, 4) coset s ^ (4w + v), indexed [s, w, v]
     members: np.ndarray      # (16, 4) uint8 triples of each coset, ascending
     slot_branch: np.ndarray  # (16, 16, 64) uint16 per (nibble, successor state): tie order
@@ -159,6 +164,7 @@ def _tables() -> _TrellisTables:
     return _TrellisTables(
         order=order.astype(np.uint8),
         succ_w=succ_w.reshape(4, 4),
+        succ_rank=np.argsort(succ_w.reshape(4, 4), axis=1),
         xor=(_ROWS16[:, None] ^ _ROWS16).reshape(16, 4, 4),
         members=np.argsort(sig_mid, kind="stable").reshape(16, 4).astype(np.uint8),
         slot_branch=(64 * preds + triples[..., None]).reshape(16, 16, 64).astype(np.uint16),
@@ -255,6 +261,14 @@ def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags
 # (stage, trial) pairs per chunk of _sweep, at most 256 stages; 64 times fewer
 # when each carries 1024 random draws
 _CHUNK = 1 << 12
+# trials up to which each (stage, trial) gets its own [M | K] table in _sweep
+_TABLE_TRIALS = 8
+
+
+def _max4(a: np.ndarray, out=None) -> np.ndarray:
+    """Maximum over a last axis of length 4, as pairwise maxima (faster than
+    a reduction over so short an axis)."""
+    return np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]), out=out)
 
 
 def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None, live=None):
@@ -262,12 +276,25 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
 
     Returns the final (B, 16) survivor metrics at positions, the branches
     back (N, B, 4) of each successor class, and tied (N, B, 4).  The stages
-    run a chunk at a time, so temporaries stay bounded whatever N and B.  A
-    stage records in flags (B, 2, 4, 4) which survivors attain their class
-    maximum and which classes v attain the best sum of each successor class
-    w; the choice pass reads them once per chunk.  With ``rng``, back is
-    (N, B, 16) by successor state, from :func:`_random_choices`.  ``live``,
-    a list, receives the live positions after each stage (B = 1).
+    run a chunk at a time, so temporaries stay bounded whatever N and B.
+
+    The sequential loop carries only x (B, 4), the best sum of each
+    successor class after a stage.  Each row of succ_w is a permutation, so
+    the class maxima entering the next stage are
+    group[v] = max(DEAD, max_w P[v, w] + x[w]), P the pair metrics by class
+    and successor class.  With C the coset maxima [w, v] of that stage's
+    nibble, x' = max_v C[w, v] + group[v] is the max-plus x' = max(K, M x),
+    M = C P and K = max_v C + DEAD, exactly: no term falls below -9 * 2^59,
+    so int64 holds every sum.  Up to _TABLE_TRIALS trials a stage is two
+    numpy calls on per-(stage, trial) [M | K] tables; larger batches go
+    through P and C with pairwise maxima instead of building a 4x4x4
+    product per trial.  After the loop one vectorised pass per chunk
+    rebuilds the entering metrics and the flags (n, B, 2, 4, 4), which
+    survivors attain their class maximum and which classes v attain the
+    best sum of each successor class w, that the choice pass reads.  With
+    ``rng``, back is (N, B, 16) by successor state, from
+    :func:`_random_choices`.  ``live``, a list, receives the live positions
+    after each stage (B = 1).
     """
     nibs = _nibbles(syndromes)
     B, N = nibs.shape
@@ -279,19 +306,39 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
     step = max(1, min(256, (_CHUNK if rng is None else _CHUNK // 64) // max(B, 1)))
     for lo in range(0, N, step):
         seg, chunk = _segments(tab, mt[5 * lo:5 * (lo + step) + 2]), nibs[:, lo:lo + step]
-        flags = np.empty((len(seg.best), B, 2, 4, 4), dtype=bool)
-        for i, (nib, coset_best, pairs) in enumerate(zip(chunk.T, seg.best, seg.pairs[1:])):
-            top, best = flags[i, :, 0], flags[i, :, 1]
-            group = np.maximum.reduce(metrics, axis=2, keepdims=True)  # (B, 4, 1) class maxima
-            np.equal(metrics, group, out=top)
-            sums = coset_best[tab.xor[nib]]  # (B, 4, 4) indexed [w, v]
-            sums += group.reshape(B, 1, 4)
-            succ = np.maximum.reduce(sums, axis=2, keepdims=True)  # (B, 4, 1)
-            np.equal(sums, succ, out=best)
-            metrics = succ[:, tab.succ_w, 0] + pairs
-            np.maximum(metrics, DEAD_METRIC, out=metrics)
-            if live is not None:
-                live.append(np.flatnonzero(metrics > DEAD_METRIC))
+        n = len(seg.best)
+        cosets = seg.best[:, tab.xor.reshape(16, 16)][np.arange(n)[:, None], chunk.T].reshape(n, B, 4, 4)
+        pairs = seg.pairs[:, np.arange(4)[:, None], tab.succ_rank]  # (n+1, 4, 4) P [v, w]
+        # x[i] holds the best sum of each successor class after stage i, then a 0
+        x = np.zeros((n, B, 1, 5), dtype=np.int64)
+        _max4(cosets[0] + _max4(metrics)[:, None, :], out=x[0, :, 0, :4])
+        if B <= _TABLE_TRIALS:
+            table = np.empty((n - 1, B, 4, 5), dtype=np.int64)
+            _max4(cosets[1:, :, :, None, :] + pairs[1:n, None, None].swapaxes(-1, -2), out=table[..., :4])
+            table[..., 4] = _max4(cosets[1:]) + DEAD_METRIC
+            sums = np.empty((B, 4, 5), dtype=np.int64)
+            for row, prev, new in zip(table, x, x[1:, :, 0, :4]):
+                np.add(row, prev, out=sums)
+                np.maximum.reduce(sums, axis=2, out=new)
+        else:
+            for coset, pair, prev, new in zip(cosets[1:], pairs[1:], x[:, :, 0, :4], x[1:, :, 0, :4]):
+                group = np.maximum(_max4(pair + prev[:, None, :]), DEAD_METRIC)
+                _max4(coset + group[:, None, :], out=new)
+        x = x[:, :, 0, :4]
+        # in place where it can: at large B these are the chunk's largest temporaries
+        entering = np.empty((n + 1, B, 4, 4), dtype=np.int64)
+        entering[0] = metrics
+        np.add(x[:, :, tab.succ_w], seg.pairs[1:, None], out=entering[1:])
+        np.maximum(entering, DEAD_METRIC, out=entering)
+        metrics = entering[n].copy()
+        if live is not None:
+            live.extend(np.flatnonzero(row > DEAD_METRIC) for row in entering[1:, 0].reshape(n, 16))
+        group = _max4(entering[:n])  # (n, B, 4) class maxima
+        flags = np.empty((n, B, 2, 4, 4), dtype=bool)
+        np.equal(entering[:n], group[..., None], out=flags[:, :, 0])
+        del entering
+        cosets += group[:, :, None, :]
+        np.equal(cosets, x[..., None], out=flags[:, :, 1])
         choice, tied[lo:lo + step] = _choices(tab, seg, chunk, flags)
         back[lo:lo + step] = choice if rng is None else _random_choices(tab, seg, chunk, flags, rng)
     return metrics.reshape(B, 16), back, tied
@@ -300,16 +347,27 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
 def _traceback(tab: _TrellisTables, back, cols, tied, k):
     """Codes (B, n) of the survivors at positions ``k``, and whether any stage
     on their paths was tied.  Position r took branch back[i, :, cols[r]] at
-    stage i, and its tie flag is tied[i, :, succ_w[r]]."""
+    stage i, and its tie flag is tied[i, :, succ_w[r]].  The pointer chase is
+    sequential: one trial chases Python ints, which costs less than one
+    numpy call per stage; a batch chases all its trials per stage.  The
+    codes are then filled from the branches at once."""
     N, B = back.shape[:2]
     rows = np.arange(B)
     codes = np.empty((B, 5 * N + 2), dtype=np.uint8)
     steps = np.empty((N, B), dtype=np.uint16)
     positions = np.empty((N + 1, B), dtype=np.uint8)
     positions[N] = k
-    for i in reversed(range(N)):
-        steps[i] = back[i, rows, cols[k]]
-        k = steps[i] >> 6
+    if B == 1:
+        width, flat = back.shape[2], back.ravel().tolist()
+        chain, col, at = [], cols.tolist(), int(k[0])
+        for base in range(width * (N - 1), -1, -width):
+            chain.append(flat[base + col[at]])
+            at = chain[-1] >> 6
+        steps[:, 0] = chain[::-1]
+    else:
+        for i in reversed(range(N)):
+            steps[i] = back[i, rows, cols[k]]
+            k = steps[i] >> 6
     positions[:N] = steps >> 6
     path_tied = tied[np.arange(N)[:, None], rows, tab.succ_w.ravel()[positions[1:]]].any(axis=0)
     states = tab.order[positions]
@@ -352,14 +410,23 @@ def _check_schedule(code: ConvolutionalCode, schedule: ChannelSchedule) -> None:
         raise ValueError(f"schedule covers {schedule.n} qubits, code has {code.n}")
 
 
+def _check_bits(syndromes: np.ndarray) -> np.ndarray:
+    """The uint8 0/1 matrix ``syndromes``; ValueError if any entry is not 0 or 1."""
+    if ((syndromes != 0) & (syndromes != 1)).any():
+        raise ValueError("syndrome bits must be 0 or 1")
+    return syndromes.astype(np.uint8, copy=False)
+
+
 def _check_inputs(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndrome):
     _check_schedule(code, schedule)
     expected = 4 * code.blocks + 2
     if len(syn.bits) != expected:
         raise ValueError(f"syndrome has {len(syn.bits)} bits, expected {expected}")
-    if any(b not in (0, 1) for b in syn.bits):
-        raise ValueError("syndrome bits must be 0 or 1")
-    return np.array([syn.bits], dtype=np.uint8)
+    try:  # bytes() converts ints in 0..255 without a Python loop over the bits
+        bits = np.frombuffer(bytes(syn.bits), dtype=np.uint8)
+    except (TypeError, ValueError):
+        bits = np.array(syn.bits, dtype=object)
+    return _check_bits(bits[None])
 
 
 def viterbi_decode(
@@ -411,9 +478,7 @@ def decode_batch(
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
         raise ValueError(f"syndromes must have shape (trials, {4 * code.blocks + 2})")
     _check_schedule(code, schedule)
-    if ((syndromes != 0) & (syndromes != 1)).any():
-        raise ValueError("syndrome bits must be 0 or 1")
-    syndromes = syndromes.astype(np.uint8, copy=False)
+    syndromes = _check_bits(syndromes)
 
     codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes)
     codes[~feasible] = 0

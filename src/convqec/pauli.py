@@ -178,13 +178,20 @@ def support_table(operators, n: int) -> SupportTable:
     return SupportTable(n, qubits, ((letters & 1) << 1) | (letters >> 1))
 
 
+def as_code_matrix(codes, n: int | None = None) -> np.ndarray:
+    """``codes`` as an array, checked to be a (rows, n) matrix of integer codes
+    in 0..3; any number of columns when ``n`` is None."""
+    codes = np.asarray(codes)
+    if codes.ndim != 2 or n not in (None, codes.shape[1]) or not _are_codes(codes):
+        raise ValueError(f"expected a (rows, {'n' if n is None else n}) matrix of integer codes in 0..3")
+    return codes
+
+
 def commutation_bits(codes, table: SupportTable) -> np.ndarray:
     """(B, m) uint8 commutation bits of each row of a (B, n) code matrix against
     each operator of ``table``, 1 where they anticommute.  The loop runs over
     support slots, each gathering one qubit's column for every operator."""
-    codes = np.asarray(codes)
-    if codes.ndim != 2 or codes.shape[1] != table.n or not _are_codes(codes):
-        raise ValueError(f"expected a (rows, {table.n}) matrix of integer codes in 0..3")
+    codes = as_code_matrix(codes, table.n)
     columns = np.ascontiguousarray(codes.T, dtype=np.uint8)
     # a & swapped(b) holds x_a z_b and z_a x_b: letters a and b anticommute iff
     # its parity is odd, and parities add under XOR, so one parity at the end

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .pauli import Pauli, commutation_bits, support_table
+from .pauli import Pauli, as_code_matrix, commutation_bits, support_table
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2}
 
@@ -79,7 +79,9 @@ class SignedPauli:
 
 class StabilizerTableau:
     """Mutable tableau of signed Pauli rows; callers own their instance.  Change
-    the rows only through the ``apply_*`` methods, which drop the cached solver."""
+    the rows only through the ``apply_*`` methods, which drop the cached solver.
+    A Pauli error flips signs only, so the GF(2) basis of the rows survives it
+    and is shared with copies until a gate changes the rows."""
 
     def __init__(self, x: np.ndarray, z: np.ndarray, phase: np.ndarray):
         self.x = x
@@ -87,6 +89,7 @@ class StabilizerTableau:
         self.phase = phase
         self.n = x.shape[1]
         self._solver: GroupSolver | None = None
+        self._basis: list = [None]  # [(row ints, RowBasis, codes)] once a solver has built it
 
     @classmethod
     def from_bits(cls, bits, n: int | None = None) -> "StabilizerTableau":
@@ -100,16 +103,19 @@ class StabilizerTableau:
     @classmethod
     def from_codes(cls, codes: np.ndarray) -> "StabilizerTableau":
         """One +1-signed row per row of a (rows, n) matrix of codes 2*x + z."""
+        codes = as_code_matrix(codes)
         x, z = (codes >> 1).astype(np.uint8), (codes & 1).astype(np.uint8)
         return cls(x, z, (x & z).sum(axis=1, dtype=np.int64) % 4)
 
     def copy(self) -> "StabilizerTableau":
-        return StabilizerTableau(self.x.copy(), self.z.copy(), self.phase.copy())
+        clone = StabilizerTableau(self.x.copy(), self.z.copy(), self.phase.copy())
+        clone._basis = self._basis
+        return clone
 
     def apply_gate(self, gate: CliffordGate) -> None:
         if any(q > self.n for q in gate.qubits):
             raise ValueError(f"gate {gate} exceeds qubit count {self.n}")
-        self._solver = None
+        self._solver, self._basis = None, [None]
         if gate.kind == "H":
             q = gate.qubits[0] - 1
             self.phase = (self.phase + 2 * (self.x[:, q] & self.z[:, q])) % 4
@@ -140,7 +146,7 @@ class StabilizerTableau:
         if e.n != self.n:
             raise ValueError(f"error acts on {e.n} qubits, tableau has {self.n}")
         anti = commutation_bits(2 * self.x + self.z, support_table([e], self.n))[:, 0]
-        self._solver = None
+        self._solver = None  # the basis stays: only the signs change
         self.phase = (self.phase + 2 * anti) % 4
 
     def _row_ints(self, r: int) -> tuple[int, int]:
@@ -180,19 +186,21 @@ class StabilizerTableau:
 class GroupSolver:
     """GF(2) solver over a tableau snapshot, reusable for many queries.
 
-    The row-space reduction is done once at construction; each query then
-    costs one back-substitution plus a signed product of the selected rows.
+    The row-space reduction is done once per set of rows, whatever their
+    signs; each query then costs one back-substitution plus a signed product
+    of the selected rows.
     """
 
     def __init__(self, t: StabilizerTableau):
         self.n = t.n
-        self.codes = 2 * t.x + t.z
-        self.rows: list[tuple[int, int, int]] = []
-        self.basis = gf2.RowBasis()
-        for r in range(t.x.shape[0]):
-            xb, zb = t._row_ints(r)
-            self.rows.append((xb, zb, int(t.phase[r])))
-            self.basis.add(xb | (zb << self.n))
+        self.phases: list[int] = t.phase.tolist()
+        if t._basis[0] is None:
+            rows = [t._row_ints(r) for r in range(t.x.shape[0])]
+            basis = gf2.RowBasis()
+            for xb, zb in rows:
+                basis.add(xb | (zb << self.n))
+            t._basis[0] = (rows, basis, 2 * t.x + t.z)
+        self.rows, self.basis, self.codes = t._basis[0]
 
     def sign_of(self, p: Pauli) -> int | None:
         """External sign with which p appears in the row group, else None."""
@@ -205,8 +213,8 @@ class GroupSolver:
         idx = 0
         while mask:
             if mask & 1:
-                rx, rz, rp = self.rows[idx]
-                phase = (phase + rp + 2 * (z & rx).bit_count()) % 4
+                rx, rz = self.rows[idx]
+                phase = (phase + self.phases[idx] + 2 * (z & rx).bit_count()) % 4
                 x ^= rx
                 z ^= rz
             mask >>= 1

@@ -445,3 +445,59 @@ DECODER_DIGEST = "9aac41fbe170fed8565c1972a7c86f0c4f8ac089e51c5b6a58c9d7db21d449
 
 def test_decoder_golden_digest():
     assert decoder_digest() == DECODER_DIGEST
+
+
+def chunk_channels(n, rng):
+    """Low-noise, tie-rich, zero-component, repeated-row and p = 0 channels."""
+    levels = np.array([[0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0.5, 0.25, 0.0, 0.25], [1.0, 0.0, 0.0, 0.0]])
+    yield depolarizing(n, 0.02)
+    yield depolarizing(n, 0.3)
+    yield random_schedule(n, rng, zero_fraction=0.3)
+    yield schedule_from_probs(levels[(rng.random(n) * len(levels)).astype(int)])
+    yield depolarizing(n, 0.0)
+
+
+def chunk_crossing_digest():
+    """sha256 over decoder outputs whose stages span several chunks of the
+    sweep (256 stages per chunk for one trial, 64 in random mode, fewer as
+    the batch grows): viterbi_decode in both tie modes around and past the
+    chunk edges, decode_batch at batch sizes around the chunk-size steps,
+    and survivor_merge_lag, on sampled and uniformly random (often
+    infeasible) syndromes.  Only uniform draws feed the grid."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(77)
+    for blocks in (64, 65, 256, 257, 600):
+        code = build_code(blocks)
+        for schedule in chunk_channels(code.n, rng):
+            sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 1))
+            uniform = rng.random((1, 4 * blocks + 2)) < 0.5
+            for row, bits in enumerate(np.concatenate([sampled, uniform]).astype(np.uint8)):
+                syn = Syndrome(tuple(int(b) for b in bits))
+                for kwargs in ({}, {"tie_mode": "random", "rng": blocks + row}):
+                    try:
+                        result = viterbi_decode(code, schedule, syn, **kwargs)
+                        h.update(f"{result.error}|{result.tie_broken};".encode())
+                    except InfeasibleSyndromeError:
+                        h.update(b"infeasible;")
+    code = build_code(300)
+    for schedule in chunk_channels(code.n, rng):
+        sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 224))
+        uniform = rng.random((32, 4 * 300 + 2)) < 0.5
+        syndromes = np.concatenate([uniform[:2], sampled, uniform[2:]]).astype(np.uint8)
+        for trials in (1, 2, 15, 16, 17, 256):
+            batch = decode_batch(code, schedule, syndromes[:trials])
+            for array in (batch.codes, batch.tie_broken, batch.feasible):
+                h.update(np.ascontiguousarray(array).tobytes())
+        for bits in syndromes[[0, 2, 3]]:
+            lags = survivor_merge_lag(code, schedule, Syndrome(tuple(int(b) for b in bits)))
+            h.update(np.array(lags, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the decoder before its per-stage recursion was rewritten to
+# carry only the successor-class maxima.
+CHUNK_CROSSING_DIGEST = "a814995d5d2a69c20fa595f5336bb68c7f44b4251e85b230c9f0b46b62125cc7"
+
+
+def test_decoder_chunk_crossing_digest():
+    assert chunk_crossing_digest() == CHUNK_CROSSING_DIGEST

@@ -11,6 +11,7 @@ from convqec.code import build_code, syndrome_of
 from convqec.pauli import code_rows, pauli_from_codes, pauli_from_string
 from convqec.tableau import (
     CliffordGate,
+    GroupSolver,
     SignedPauli,
     StabilizerTableau,
     gate_cx,
@@ -183,6 +184,40 @@ def test_solver_is_reused_until_the_rows_change():
     assert partial.measure_row(pauli_from_string("XI")) is None
     with pytest.raises(ValueError, match="outside the group"):
         partial.measure_row(pauli_from_string("IZ"))
+
+
+def test_solver_keeps_its_basis_across_pauli_errors():
+    """Pauli errors flip signs only: copies of a tableau and their corrupted
+    versions reuse one basis until a gate changes the rows, and answer as a
+    solver built from scratch does."""
+    code = build_code(3)
+    base = StabilizerTableau.from_bits([0] * code.n)
+    base.apply_gates(build_encoding_circuit(3).gates())
+    rng = np.random.default_rng(21)
+    probes = [*code.generators, *code.logical_z, *code.logical_x]
+    probes += [pauli_from_codes(rng.integers(0, 4, code.n)) for _ in range(20)]
+    for trial in range(30):
+        t = base.copy()
+        for _ in range(int(rng.integers(1, 4))):
+            t.apply_pauli_error(pauli_from_codes(rng.integers(0, 4, code.n)))
+            t.solver()
+        if trial % 5 == 0:
+            t.apply_gate(gate_h(int(rng.integers(1, code.n + 1))))
+            t.apply_pauli_error(pauli_from_codes(rng.integers(0, 4, code.n)))
+        kept = t.solver()
+        fresh = GroupSolver(StabilizerTableau(t.x.copy(), t.z.copy(), t.phase.copy()))
+        assert (kept.basis is base.solver().basis) == (trial % 5 != 0)
+        assert fresh.basis is not kept.basis
+        for p in probes:
+            assert kept.sign_of(p) == fresh.sign_of(p)
+            assert kept.measure(p) == fresh.measure(p)
+
+
+def test_from_codes_validates_codes():
+    for bad in (np.array([[5, 0]]), np.array([[-1, 0]]), np.array([[2.7, 0]]), np.array([1, 0])):
+        with pytest.raises(ValueError, match="0..3"):
+            StabilizerTableau.from_codes(bad)
+    assert StabilizerTableau.from_codes(np.array([[3, 0]])).dump() == ["+YI"]
 
 
 def test_measure_row_matches_symplectic_syndrome():
