@@ -24,9 +24,7 @@ from .pauli import Pauli, code_rows, pauli_from_codes
 
 # Column order of the public quadruples.
 QUAD_ORDER = "IXYZ"
-# probs column -> per-qubit integer code (see pauli.CODE_CHARS = "IZXY"),
-# and the inverse permutation (code -> probs column).
-_QUAD_TO_CODE = (0, 2, 3, 1)
+# per-qubit integer code (see pauli.CODE_CHARS = "IZXY") -> probs column
 _CODE_TO_QUAD = (0, 3, 1, 2)
 _PROB_TOLERANCE = 1e-12
 
@@ -94,8 +92,13 @@ def sample_error_codes(schedule: ChannelSchedule, rng, count: int) -> np.ndarray
     rng = make_rng(rng)
     cum = np.cumsum(schedule.probs, axis=1)
     u = rng.random((count, schedule.n))
-    category = (u[:, :, None] >= cum[None, :, :3]).sum(axis=2)
-    return np.array(_QUAD_TO_CODE, dtype=np.uint8)[category]
+    # u >= cum[:, k] is the same comparison one threshold at a time; the
+    # thresholds ascend, so the three bits a >= b >= c give the code
+    # (2a + b) ^ 2c: I=0, X=2, Y=3, Z=1
+    codes = (u >= cum[:, 0]).view(np.uint8) << 1
+    codes |= u >= cum[:, 1]
+    codes ^= (u >= cum[:, 2]).view(np.uint8) << 1
+    return codes
 
 
 def sample_error(schedule: ChannelSchedule, rng) -> Pauli:

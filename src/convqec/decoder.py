@@ -36,7 +36,11 @@ max-plus product whose tables are computed up front per chunk of stages;
 with one trial a stage is two numpy calls.  One vectorised pass per chunk
 then rebuilds the survivor metrics and records which survivors and classes
 attained their maxima, and a choice pass (``_choices``) turns that into
-branches and tie flags.
+branches and tie flags.  Both passes work class-major: the class and rank
+axes of length 4 come first and a chunk's (stage, trial) pairs last, so a
+maximum, comparison or gather over classes is one numpy call on contiguous
+slabs of n*B elements, not an inner loop of 4 elements per (stage, trial),
+which is what bounded the batched Monte Carlo path.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -131,7 +135,6 @@ class _TrellisTables:
     order: np.ndarray        # (16,) uint8 state at each position
     succ_w: np.ndarray       # (4, 4) successor class of the state at each position
     succ_rank: np.ndarray    # (4, 4) position within class v of its state in successor class w
-    xor: np.ndarray          # (16, 4, 4) coset s ^ (4w + v), indexed [s, w, v]
     members: np.ndarray      # (16, 4) uint8 triples of each coset, ascending
     slot_branch: np.ndarray  # (16, 16, 64) uint16 per (nibble, successor state): tie order
     slot_class: np.ndarray   # (16, 16, 64) 16 + 4w + v of each slot, w and v its two classes
@@ -163,9 +166,8 @@ def _tables() -> _TrellisTables:
     end_bit = bits[5, first, 5] ^ bits[6, second, 5]    # ZX on qubits n-1, n
     return _TrellisTables(
         order=order.astype(np.uint8),
-        succ_w=succ_w.reshape(4, 4),
+        succ_w=succ_w.reshape(4, 4).astype(np.uint8),
         succ_rank=np.argsort(succ_w.reshape(4, 4), axis=1),
-        xor=(_ROWS16[:, None] ^ _ROWS16).reshape(16, 4, 4),
         members=np.argsort(sig_mid, kind="stable").reshape(16, 4).astype(np.uint8),
         slot_branch=(64 * preds + triples[..., None]).reshape(16, 16, 64).astype(np.uint16),
         slot_class=np.repeat(16 + sig_succ[:, None, None] + classes, 4, axis=3).reshape(16, 16, 64),
@@ -192,7 +194,7 @@ class _Segments:
 
     pairs: np.ndarray  # (n+1, 4, 4) pair metrics at positions
     best: np.ndarray   # (n, 16) best triple metric of each coset
-    key: np.ndarray    # (n, 16) uint16 8 * (smallest best triple) + 4 * (several best triples)
+    key: np.ndarray    # (n, 16) uint16 (smallest best triple) << 6 | (several best triples) << 5
     hit: np.ndarray    # (n, 64) whether each triple attains its coset's best
 
 
@@ -204,55 +206,63 @@ def _segments(tab: _TrellisTables, mt: np.ndarray) -> _Segments:
     first = tab.members.ravel()[4 * _ROWS16 + hit.argmax(axis=2)]
     triple_hit = np.empty((len(best), 64), dtype=bool)
     triple_hit[:, tab.members.ravel()] = hit.reshape(-1, 64)
-    key = (8 * first.astype(np.uint16) + 4 * (hit.sum(axis=2) > 1)).astype(np.uint16)
+    key = first.astype(np.uint16) << 6 | (hit.sum(axis=2) > 1).astype(np.uint16) << 5
     return _Segments(pairs[:, tab.order].reshape(-1, 4, 4), best, key, triple_hit)
 
 
 def _nibbles(syndromes: np.ndarray) -> np.ndarray:
-    """(B, N) uint8: each stage's four syndrome bits packed little-endian."""
-    B, width = syndromes.shape
-    blocks = syndromes[:, 1:-1].reshape(B, (width - 2) // 4, 4)
-    return np.packbits(blocks, axis=2, bitorder="little")[:, :, 0]
+    """(N, B) uint8: each stage's four syndrome bits packed little-endian,
+    stage-major, so that a run of stages is one contiguous run of (stage, trial)."""
+    bits = syndromes.T
+    nibs = bits[1:-1:4] | bits[2:-1:4] << 1
+    nibs |= bits[3:-1:4] << 2
+    nibs |= bits[4::4] << 3
+    return nibs
 
 
-# first entry and number of entries of a 4-bit mask as np.packbits writes it (entry 0 in bit 3)
-_MASK_FIRST = np.array([0, 3, 2, 2, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0], dtype=np.uint16)
-_MASK_COUNT = np.array([bin(m).count("1") for m in range(16)], dtype=np.uint8)
+# indexed 16 v + (survivor flags of class v, survivor q in bit q): bits 0-3 the
+# position 4 v + q of the first flagged survivor, bit 4 set if several are flagged
+_SURVIVOR_BITS = np.array([4 * v + ((m & -m).bit_length() - 1 if m else 0) + 16 * (bin(m).count("1") > 1)
+                           for v in range(4) for m in range(16)], dtype=np.uint16)
+_CLASS_BITS = np.arange(0, 64, 16, dtype=np.uint8)[:, None]
 
 
-def _choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray):
-    """Deterministic branch (n, B, 4) uint16 and tie flag (n, B, 4) of each
-    successor class, from the flags of the stages of ``seg``.
+def _choices(flags: np.ndarray, keys: np.ndarray, back: np.ndarray, tied: np.ndarray) -> None:
+    """Deterministic branch and tie flag of each successor class, written
+    into ``back`` (unless None) and ``tied`` (4, n, B), from a chunk's
+    class-major survivor and class flags (2, 4, 4, n*B) and coset keys
+    (4, 4, n*B) [w, v, j].
 
     Among tied classes the winner is the one whose coset's smallest best
     triple is smallest; within it, the first tied survivor.  A successor is
     tied unless one class, one survivor and one triple attain its best.
+    Cosets are disjoint, so a key's triple alone decides the least key, and
+    the winning class's survivor bits ride along below it.
     """
-    n, B = flags.shape[:2]
-    # coset key + v for every [stage, trial, 4w + v], 0xFFFF where class v is
-    # not tied; cosets are disjoint, so the least key is decided by its triple
-    key = seg.key[:, tab.xor.reshape(16, 16)][np.arange(n)[:, None], nibs.T]
-    key += (_ROWS16 & 3).astype(np.uint16)
-    key = (key | ~flags[:, :, 1].reshape(n, B, 16) * np.uint16(0xFFFF)).reshape(n, B, 4, 4)
-    key = np.minimum(np.minimum(key[..., 0], key[..., 1]), np.minimum(key[..., 2], key[..., 3]))
-    win = key & 3
-    # per trial, the survivor flags and the class flags as two 16-bit words,
-    # class v's (or successor class w's) four flags in bits 15-4v..12-4v
-    words = np.packbits(flags.reshape(n, B, 32), axis=2).view(">u2").astype(np.uint16)
-    survivors = (words[..., :1] >> (12 - 4 * win)) & 15
-    classes = (words[..., 1:] >> np.arange(12, -1, -4, dtype=np.uint16)) & 15
-    back = (4 * win + _MASK_FIRST[survivors]) << 6 | key >> 3
-    return back, (_MASK_COUNT[classes] > 1) | (_MASK_COUNT[survivors] > 1) | (key & 4 > 0)
+    survivors, classes = flags.view(np.uint8)  # [v, q, j] and [w, v, j]
+    mask = survivors[:, 0] | survivors[:, 1] << 1
+    mask |= survivors[:, 2] << 2
+    mask |= survivors[:, 3] << 3
+    mask |= _CLASS_BITS
+    keys |= _SURVIVOR_BITS.take(mask)
+    np.copyto(keys, np.uint16(0xFFFF), where=~flags[1])
+    least = np.minimum.reduce(keys, axis=1).reshape(tied.shape)
+    if back is not None:
+        np.bitwise_or((least & 15) << 6, least >> 6, out=back)
+    np.greater(np.add.reduce(classes, axis=1, dtype=np.uint8).reshape(tied.shape), 1, out=tied)
+    tied |= (least & 48) > 0
 
 
 def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rng):
     """Random-mode branch (n, B, 16) of each successor state: its best slot
     with the largest of one ``rng.random((B, 16, 64))`` draw per stage, whose
-    axes are states and slots in tie order."""
-    n, B = flags.shape[:2]
-    branch, flat = tab.slot_branch[nibs.T], flags.ravel()  # branch: (n, B, 16, 64)
-    at = 32 * np.arange(n * B).reshape(n, B, 1, 1)  # where each (stage, trial) starts in flat
-    tied = flat.take(at + (branch >> 6)) & flat.take(at + tab.slot_class[nibs.T])
+    axes are states and slots in tie order.  ``flags`` is class-major, flag X
+    of (stage, trial) j at X * (n*B) + j."""
+    n, B = nibs.shape
+    branch, flat = tab.slot_branch[nibs], flags.ravel()  # branch: (n, B, 16, 64)
+    at = np.arange(n * B).reshape(n, B, 1, 1)
+    tied = flat.take(at + n * B * (branch >> 6).astype(np.intp))
+    tied &= flat.take(at + n * B * tab.slot_class[nibs])
     tied &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
     pick = np.where(tied, rng.random((n, B, 16, 64)), -1.0).argmax(axis=3)
     return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
@@ -265,20 +275,19 @@ _CHUNK = 1 << 12
 _TABLE_TRIALS = 8
 
 
-def _max4(a: np.ndarray, out=None) -> np.ndarray:
-    """Maximum over a last axis of length 4, as pairwise maxima (faster than
-    a reduction over so short an axis)."""
-    return np.maximum(np.maximum(a[..., 0], a[..., 1]), np.maximum(a[..., 2], a[..., 3]), out=out)
-
-
 def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None, live=None):
     """Forward and choice passes over a (B, 4N+2) 0/1 syndrome matrix.
 
     Returns the final (B, 16) survivor metrics at positions, the branches
-    back (N, B, 4) of each successor class, and tied (N, B, 4).  The stages
+    back (N, 4, B) of each successor class, and tied (N, 4, B).  The stages
     run a chunk at a time, so temporaries stay bounded whatever N and B.
 
-    The sequential loop carries only x (B, 4), the best sum of each
+    The layout is class-major (see the module docstring): the axes of
+    length 4 lead and a chunk's (stage, trial) pairs j = i*B + b trail.  The
+    work buffers are allocated once per sweep and viewed per chunk, which
+    keeps the transient peak below that of per-chunk temporaries.
+
+    The sequential loop carries only x [w, i, b], the best sum of each
     successor class after a stage.  Each row of succ_w is a permutation, so
     the class maxima entering the next stage are
     group[v] = max(DEAD, max_w P[v, w] + x[w]), P the pair metrics by class
@@ -287,78 +296,104 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
     M = C P and K = max_v C + DEAD, exactly: no term falls below -9 * 2^59,
     so int64 holds every sum.  Up to _TABLE_TRIALS trials a stage is two
     numpy calls on per-(stage, trial) [M | K] tables; larger batches go
-    through P and C with pairwise maxima instead of building a 4x4x4
-    product per trial.  After the loop one vectorised pass per chunk
-    rebuilds the entering metrics and the flags (n, B, 2, 4, 4), which
-    survivors attain their class maximum and which classes v attain the
-    best sum of each successor class w, that the choice pass reads.  With
-    ``rng``, back is (N, B, 16) by successor state, from
-    :func:`_random_choices`.  ``live``, a list, receives the live positions
-    after each stage (B = 1).
+    through P and C with maxima over (4, 4, B) slabs instead of building
+    a 4x4x4 product per trial.  After the loop one vectorised pass
+    per chunk rebuilds the entering metrics [v, q, i, b] and the flags
+    (2, 4, 4, n*B), which survivors attain their class maximum and which
+    classes v attain the best sum of each successor class w, that the
+    choice pass reads.  With ``rng``, back is (N, 16, B) by successor state,
+    from :func:`_random_choices`.  ``live``, a list, receives the live
+    positions after each stage (B = 1).
     """
     nibs = _nibbles(syndromes)
-    B, N = nibs.shape
-    back = np.empty((N, B, 4 if rng is None else 16), dtype=np.uint16)
-    tied = np.empty((N, B, 4), dtype=bool)
-    start = (mt[0, :, None] + mt[1]).ravel()[tab.order]
-    metrics = np.where(tab.start_bit == syndromes[:, :1], np.maximum(start, DEAD_METRIC), DEAD_METRIC)
-    metrics = metrics.reshape(B, 4, 4)
+    N, B = nibs.shape
+    back = np.empty((N, 4 if rng is None else 16, B), dtype=np.uint16)
+    tied = np.empty((N, 4, B), dtype=bool)
     step = max(1, min(256, (_CHUNK if rng is None else _CHUNK // 64) // max(B, 1)))
+    size = min(step, N) * B
+    # row 0 holds the survivor metrics entering the chunk, row n those leaving it
+    entering_buf = np.empty((4, 4, min(step, N) + 1, B), dtype=np.int64)
+    start = np.maximum((mt[0, :, None] + mt[1]).ravel()[tab.order], DEAD_METRIC)
+    entering_buf[:, :, 0] = np.where(tab.start_bit[:, None] == syndromes[:, 0], start[:, None],
+                                     DEAD_METRIC).reshape(4, 4, B)
+    cosets_buf, keys_buf = np.empty(16 * size, dtype=np.int64), np.empty(16 * size, dtype=np.uint16)
+    x_buf, group_buf = np.empty(4 * size, dtype=np.int64), np.empty(4 * size, dtype=np.int64)
+    flags_buf = np.empty(32 * size, dtype=bool)
     for lo in range(0, N, step):
-        seg, chunk = _segments(tab, mt[5 * lo:5 * (lo + step) + 2]), nibs[:, lo:lo + step]
+        seg = _segments(tab, mt[5 * lo:5 * (lo + step) + 2])
         n = len(seg.best)
-        cosets = seg.best[:, tab.xor.reshape(16, 16)][np.arange(n)[:, None], chunk.T].reshape(n, B, 4, 4)
+        entering = entering_buf[:, :, :n + 1]
+        # coset maxima and keys [w, v, j] of coset nibble ^ (4w + v), by flat takes
+        # at 16 i + nibble ^ k, k = 4w + v; the indices are in range, and
+        # mode="clip" writes straight into out
+        at = (nibs[lo:lo + n] + 16 * np.arange(n)[:, None]).reshape(1, -1) ^ _ROWS16[:, None]
+        cosets = seg.best.take(at, out=cosets_buf[:at.size].reshape(at.shape), mode="clip")
+        keys = seg.key.take(at, out=keys_buf[:at.size].reshape(at.shape), mode="clip")
+        cosets, keys = cosets.reshape(4, 4, n, B), keys.reshape(4, 4, -1)
+        del at  # 16 n B indices, freed before the flag pass allocates
+        x, group = x_buf[:4 * n * B].reshape(4, n, B), group_buf[:4 * n * B].reshape(4, n, B)
+        np.maximum.reduce(entering[:, :, 0], axis=1, out=group[:, 0])
+        cosets[:, :, 0] += group[:, 0]
+        np.maximum.reduce(cosets[:, :, 0], axis=1, out=x[:, 0])
         pairs = seg.pairs[:, np.arange(4)[:, None], tab.succ_rank]  # (n+1, 4, 4) P [v, w]
-        # x[i] holds the best sum of each successor class after stage i, then a 0
-        x = np.zeros((n, B, 1, 5), dtype=np.int64)
-        _max4(cosets[0] + _max4(metrics)[:, None, :], out=x[0, :, 0, :4])
         if B <= _TABLE_TRIALS:
+            # rows[i] holds the best sum of each successor class after stage i, then a 0
+            rows = np.zeros((n, B, 1, 5), dtype=np.int64)
+            rows[0, :, 0, :4] = x[:, 0].T
             table = np.empty((n - 1, B, 4, 5), dtype=np.int64)
-            _max4(cosets[1:, :, :, None, :] + pairs[1:n, None, None].swapaxes(-1, -2), out=table[..., :4])
-            table[..., 4] = _max4(cosets[1:]) + DEAD_METRIC
-            sums = np.empty((B, 4, 5), dtype=np.int64)
-            for row, prev, new in zip(table, x, x[1:, :, 0, :4]):
-                np.add(row, prev, out=sums)
-                np.maximum.reduce(sums, axis=2, out=new)
-        else:
-            for coset, pair, prev, new in zip(cosets[1:], pairs[1:], x[:, :, 0, :4], x[1:, :, 0, :4]):
-                group = np.maximum(_max4(pair + prev[:, None, :]), DEAD_METRIC)
-                _max4(coset + group[:, None, :], out=new)
-        x = x[:, :, 0, :4]
-        # in place where it can: at large B these are the chunk's largest temporaries
-        entering = np.empty((n + 1, B, 4, 4), dtype=np.int64)
-        entering[0] = metrics
-        np.add(x[:, :, tab.succ_w], seg.pairs[1:, None], out=entering[1:])
-        np.maximum(entering, DEAD_METRIC, out=entering)
-        metrics = entering[n].copy()
+            # [v, i, b, w, w'] = C[w, v] + P[v, w'], maximised over v
+            products = cosets[:, :, 1:].transpose(1, 2, 3, 0)[..., None]
+            products = products + pairs[1:n, :, None, None].swapaxes(0, 1)
+            np.maximum.reduce(products, axis=0, out=table[..., :4])
+            np.maximum.reduce(cosets[:, :, 1:], axis=1, out=table[..., 4].transpose(2, 0, 1))
+            table[..., 4] += DEAD_METRIC
+            row_sums = np.empty((B, 4, 5), dtype=np.int64)
+            for row, prev, new in zip(table, rows, rows[1:, :, 0, :4]):
+                np.add(row, prev, out=row_sums)
+                np.maximum.reduce(row_sums, axis=2, out=new)
+            x[:, 1:] = rows[1:, :, 0, :4].transpose(2, 0, 1)
+        elif n > 1:
+            sums, to_class = np.empty((4, 4, B), dtype=np.int64), np.empty((4, B), dtype=np.int64)
+            for i in range(1, n):
+                np.add(pairs[i][:, :, None], x[:, i - 1], out=sums)  # [v, w, b]
+                np.maximum.reduce(sums, axis=1, out=to_class)
+                np.maximum(to_class, DEAD_METRIC, out=to_class)
+                np.add(cosets[:, :, i], to_class, out=sums)  # [w, v, b]
+                np.maximum.reduce(sums, axis=1, out=x[:, i])
+        pair_rows = seg.pairs[1:].reshape(n, 16).T  # [position, i]
+        for v in range(4):
+            np.add(x[tab.succ_w[v]], pair_rows[4 * v:4 * v + 4, :, None], out=entering[v, :, 1:])
+        np.maximum(entering[:, :, 1:], DEAD_METRIC, out=entering[:, :, 1:])
         if live is not None:
-            live.extend(np.flatnonzero(row > DEAD_METRIC) for row in entering[1:, 0].reshape(n, 16))
-        group = _max4(entering[:n])  # (n, B, 4) class maxima
-        flags = np.empty((n, B, 2, 4, 4), dtype=bool)
-        np.equal(entering[:n], group[..., None], out=flags[:, :, 0])
-        del entering
-        cosets += group[:, :, None, :]
-        np.equal(cosets, x[..., None], out=flags[:, :, 1])
-        choice, tied[lo:lo + step] = _choices(tab, seg, chunk, flags)
-        back[lo:lo + step] = choice if rng is None else _random_choices(tab, seg, chunk, flags, rng)
-    return metrics.reshape(B, 16), back, tied
+            live.extend(np.flatnonzero(row > DEAD_METRIC) for row in entering[:, :, 1:, 0].reshape(16, n).T)
+        np.maximum.reduce(entering[:, :, 1:n], axis=1, out=group[:, 1:])
+        flags = flags_buf[:32 * n * B].reshape(2, 4, 4, -1)
+        np.equal(entering[:, :, :n], group[:, None], out=flags[0].reshape(4, 4, n, B))
+        cosets[:, :, 1:] += group[:, 1:]
+        np.equal(cosets, x[:, None], out=flags[1].reshape(4, 4, n, B))
+        branches = back[lo:lo + n].swapaxes(0, 1) if rng is None else None
+        _choices(flags, keys, branches, tied[lo:lo + n].swapaxes(0, 1))
+        if rng is not None:
+            back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rng).swapaxes(1, 2)
+        entering[:, :, 0] = entering[:, :, n]
+    return entering_buf[:, :, 0].reshape(16, B).T.copy(), back, tied
 
 
 def _traceback(tab: _TrellisTables, back, cols, tied, k):
     """Codes (B, n) of the survivors at positions ``k``, and whether any stage
-    on their paths was tied.  Position r took branch back[i, :, cols[r]] at
-    stage i, and its tie flag is tied[i, :, succ_w[r]].  The pointer chase is
+    on their paths was tied.  Position r took branch back[i, cols[r]] at
+    stage i, and its tie flag is tied[i, succ_w[r]].  The pointer chase is
     sequential: one trial chases Python ints, which costs less than one
     numpy call per stage; a batch chases all its trials per stage.  The
     codes are then filled from the branches at once."""
-    N, B = back.shape[:2]
+    N, width, B = back.shape
     rows = np.arange(B)
     codes = np.empty((B, 5 * N + 2), dtype=np.uint8)
     steps = np.empty((N, B), dtype=np.uint16)
     positions = np.empty((N + 1, B), dtype=np.uint8)
     positions[N] = k
     if B == 1:
-        width, flat = back.shape[2], back.ravel().tolist()
+        flat = back.ravel().tolist()
         chain, col, at = [], cols.tolist(), int(k[0])
         for base in range(width * (N - 1), -1, -width):
             chain.append(flat[base + col[at]])
@@ -366,10 +401,10 @@ def _traceback(tab: _TrellisTables, back, cols, tied, k):
         steps[:, 0] = chain[::-1]
     else:
         for i in reversed(range(N)):
-            steps[i] = back[i, rows, cols[k]]
+            steps[i] = back[i, cols[k], rows]
             k = steps[i] >> 6
     positions[:N] = steps >> 6
-    path_tied = tied[np.arange(N)[:, None], rows, tab.succ_w.ravel()[positions[1:]]].any(axis=0)
+    path_tied = tied[np.arange(N)[:, None], tab.succ_w.ravel()[positions[1:]], rows].any(axis=0)
     states = tab.order[positions]
     codes[:, 0::5] = (states >> 2).T
     codes[:, 1::5] = (states & 3).T
@@ -591,7 +626,8 @@ def transition_live_count(
     # a window is live iff its predecessor pair, triple and successor pair are
     preds = (pairs[stage, tab.order] > DEAD_METRIC).reshape(4, 4).sum(axis=1)
     cosets = (triples[stage, tab.members] > DEAD_METRIC).sum(axis=1)
-    per_class = cosets[tab.xor[nib]] @ preds  # live (predecessor, triple) pairs per successor class
+    # live (predecessor, triple) pairs per successor class w, through coset nib ^ (4w + v)
+    per_class = cosets[(nib ^ _ROWS16).reshape(4, 4)] @ preds
     return int(per_class[tab.succ_w][pairs[stage + 1, tab.order].reshape(4, 4) > DEAD_METRIC].sum())
 
 
@@ -609,7 +645,7 @@ def survivor_merge_lag(
     syndromes = _check_inputs(code, schedule, syn)
     tab, live = _tables(), []
     _, back, _ = _sweep(tab, metric_table(schedule), syndromes, live=live)
-    preds = back[:, 0, tab.succ_w.ravel()] >> 6
+    preds = back[:, tab.succ_w.ravel(), 0] >> 6
 
     lags = []
     for s in range(1, code.blocks + 1):

@@ -1,5 +1,6 @@
 """Tests for Pauli channel schedules, likelihoods, and sampling."""
 
+import hashlib
 import json
 import math
 
@@ -174,3 +175,34 @@ def test_probs_are_read_only():
     s = depolarizing(3, 0.1)
     with pytest.raises(ValueError):
         s.probs[0, 0] = 0.5
+
+
+def sampler_rows(rng):
+    """Rows with zero-probability letters (equal cumulative thresholds), p = 0
+    and p = 1 qubits, and random per-qubit rows."""
+    fixed = [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0],
+             [0.5, 0.0, 0.0, 0.5], [0.0, 0.5, 0.5, 0.0], [0.25, 0.25, 0.0, 0.5], [0.0, 1 / 3, 1 / 3, 1 / 3],
+             [0.7, 0.1, 0.1, 0.1]]
+    probs = rng.random((23, 4)) ** 3
+    probs[rng.random((23, 4)) < 0.25] = 0.0
+    probs[:, 0] += 1e-3
+    return np.concatenate([fixed, probs / probs.sum(axis=1, keepdims=True)])
+
+
+# Recorded from the sampler before its thresholds were compared one letter at a time.
+SAMPLER_DIGEST = "750a6369c97508c09c2e312dae57b3a8682ea73fd536dddb8a0db29fd9207a6e"
+
+
+def test_sample_error_codes_stream_pinned():
+    rng = np.random.default_rng(31)
+    schedule = schedule_from_probs(sampler_rows(rng))
+    h = hashlib.sha256()
+    for seed, count in ((0, 0), (1, 1), (2, 7), (3, 4096)):
+        codes = sample_error_codes(schedule, make_rng(seed), count)
+        assert codes.shape == (count, schedule.n) and codes.dtype == np.uint8
+        u = make_rng(seed).random((count, schedule.n))
+        cum = np.cumsum(schedule.probs, axis=1)
+        category = (u[:, :, None] >= cum[None, :, :3]).sum(axis=2)
+        assert (codes == np.array([0, 2, 3, 1], dtype=np.uint8)[category]).all()
+        h.update(codes.tobytes())
+    assert h.hexdigest() == SAMPLER_DIGEST

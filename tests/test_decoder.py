@@ -501,3 +501,48 @@ CHUNK_CROSSING_DIGEST = "a814995d5d2a69c20fa595f5336bb68c7f44b4251e85b230c9f0b46
 
 def test_decoder_chunk_crossing_digest():
     assert chunk_crossing_digest() == CHUNK_CROSSING_DIGEST
+
+
+def large_batch_digest():
+    """sha256 over decode_batch outputs (codes, tie flags, feasibility) at
+    batch sizes around the sweep's chunk of 4096 (stage, trial) pairs, where
+    each chunk holds one stage of every trial, on the chunk_channels
+    schedules with sampled and uniformly random syndromes.  Only uniform
+    draws feed the grid."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(4096)
+    for blocks in (1, 3, 10):
+        code = build_code(blocks)
+        for schedule in chunk_channels(code.n, rng):
+            sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 3585))
+            uniform = rng.random((512, 4 * blocks + 2)) < 0.5
+            syndromes = np.concatenate([uniform[:2], sampled, uniform[2:]]).astype(np.uint8)
+            for trials in (4095, 4096, 4097):
+                batch = decode_batch(code, schedule, syndromes[:trials])
+                for array in (batch.codes, batch.tie_broken, batch.feasible):
+                    h.update(np.ascontiguousarray(array).tobytes())
+    return h.hexdigest()
+
+
+# Recorded from the decoder before its sweep moved to the class-major layout.
+LARGE_BATCH_DIGEST = "0201253f9e577eddc4e392092442b8a8f8d5bad27a6759ec07df63587a1584c3"
+
+
+def test_decoder_large_batch_digest():
+    assert large_batch_digest() == LARGE_BATCH_DIGEST
+
+
+def test_decode_batch_transient_peak_bounded():
+    """decode_batch's transient peak at N = 10 with one full chunk of 4096
+    trials stays at most 96 bytes per block-trial (it measured 91.5 B before
+    the sweep reused its work buffers, 78 B after): on the Monte Carlo path
+    a larger transient peak shows up as page faults and lost throughput."""
+    code = build_code(10)
+    schedule = depolarizing(code.n, 0.02)
+    syndromes = syndrome_bits_batch(code, sample_error_codes(schedule, make_rng(11), 4096)).astype(np.uint8)
+    decode_batch(code, schedule, syndromes[:1])  # caches the metric table
+    tracemalloc.start()
+    decode_batch(code, schedule, syndromes)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak / (10 * 4096) <= 96
