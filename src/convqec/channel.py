@@ -149,9 +149,10 @@ def channel_from_config(config: dict, n: int) -> ChannelSchedule:
         extra = set(config) - {"type", "p"}
         if extra:
             raise ValueError(f"unknown channel config key {sorted(extra)[0]!r}")
-        if "p" not in config:
-            raise ValueError("depolarizing channel config requires key 'p'")
-        return depolarizing(n, float(config["p"]))
+        p = config.get("p")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValueError(f"depolarizing channel config requires a number 'p', got {p!r}")
+        return depolarizing(n, p)
     if kind == "schedule":
         extra = set(config) - {"type", "probs"}
         if extra:

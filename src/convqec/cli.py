@@ -161,10 +161,9 @@ def cmd_decode(args) -> int:
         syn = Syndrome.from_string(args.syndrome)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    schedule = channel_from_config(_load_config_channel(args.channel), code.n)
+    schedule = channel_from_config(_load_json(args.channel), code.n)
     try:
-        rng = make_rng(args.seed) if args.tie == "random" else None
-        result = viterbi_decode(code, schedule, syn, tie_mode=args.tie, rng=rng)
+        result = viterbi_decode(code, schedule, syn, tie_mode=args.tie, rng=args.seed)
     except InfeasibleSyndromeError as exc:
         print(f"FAILED: {exc}", file=sys.stderr)
         return 1
@@ -176,18 +175,11 @@ def cmd_decode(args) -> int:
     return 0
 
 
-def _load_config_channel(path: str) -> dict:
-    config = _load_json(path)
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: channel config must be a JSON object")
-    return config
-
-
 def cmd_oracle_check(args) -> int:
     if args.blocks > 2:
         raise ConfigError("oracle check enumerates 4^n errors; --blocks must be <= 2")
     code = build_code(args.blocks)
-    schedule = channel_from_config(_load_config_channel(args.channel), code.n)
+    schedule = channel_from_config(_load_json(args.channel), code.n)
     n_bits = 4 * args.blocks + 2
 
     if args.all_syndromes:

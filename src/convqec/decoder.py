@@ -69,9 +69,9 @@ replicates the order for free: enumerating errors as base-4 integers with
 qubit 1 in the least significant digit makes ascending index exactly this
 order.  It builds the metrics and syndromes of all 4^n errors one qubit at
 a time, as outer sums and outer XORs of per-qubit rows.
-``tie_mode="random"`` instead picks uniformly among tied candidates using a
-caller-supplied seed, matching the behavior the construction allows while
-keeping runs reproducible.
+``tie_mode="random"`` (``decode_batch`` with one generator per trial) instead
+picks uniformly among tied candidates from caller-supplied seeds, matching the
+behavior the construction allows while keeping runs reproducible.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSchedule, log_likelihood, log_likelihoods, make_rng
+from .channel import ChannelSchedule, log_likelihoods, make_rng
 from .code import ConvolutionalCode, Syndrome, build_code
 from .pauli import Pauli, commutation_bits, pauli_from_codes
 
@@ -253,29 +253,30 @@ def _choices(flags: np.ndarray, keys: np.ndarray, back: np.ndarray, tied: np.nda
     tied |= (least & 48) > 0
 
 
-def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rng):
+def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rngs):
     """Random-mode branch (n, B, 16) of each successor state: its best slot
-    with the largest of one ``rng.random((B, 16, 64))`` draw per stage, whose
-    axes are states and slots in tie order.  ``flags`` is class-major, flag X
-    of (stage, trial) j at X * (n*B) + j."""
+    with the largest of its trial's ``random((n, 16, 64))`` draw from ``rngs``,
+    whose axes are stages, states and slots in tie order.  ``flags`` is
+    class-major, flag X of (stage, trial) j at X * (n*B) + j."""
     n, B = nibs.shape
     branch, flat = tab.slot_branch[nibs], flags.ravel()  # branch: (n, B, 16, 64)
     at = np.arange(n * B).reshape(n, B, 1, 1)
     tied = flat.take(at + n * B * (branch >> 6).astype(np.intp))
     tied &= flat.take(at + n * B * tab.slot_class[nibs])
     tied &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
-    pick = np.where(tied, rng.random((n, B, 16, 64)), -1.0).argmax(axis=3)
+    pick = np.where(tied, np.stack([g.random((n, 16, 64)) for g in rngs], axis=1), -1.0).argmax(axis=3)
     return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
 
 
-# (stage, trial) pairs per chunk of _sweep, at most 256 stages; 64 times fewer
-# when each carries 1024 random draws
+# (stage, trial) pairs per chunk of _sweep, at most 256 stages; _RANDOM_CHUNK when each pair carries
+# 1024 random draws (~50 KB of temporaries), which is also how many trials decode_batch decodes at once
 _CHUNK = 1 << 12
+_RANDOM_CHUNK = _CHUNK // 64
 # trials up to which each (stage, trial) gets its own [M | K] table in _sweep
 _TABLE_TRIALS = 8
 
 
-def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None, live=None):
+def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None, live=None):
     """Forward and choice passes over a (B, 4N+2) 0/1 syndrome matrix.
 
     Returns the final (B, 16) survivor metrics at positions, the branches
@@ -301,15 +302,15 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
     per chunk rebuilds the entering metrics [v, q, i, b] and the flags
     (2, 4, 4, n*B), which survivors attain their class maximum and which
     classes v attain the best sum of each successor class w, that the
-    choice pass reads.  With ``rng``, back is (N, 16, B) by successor state,
+    choice pass reads.  With ``rngs``, back is (N, 16, B) by successor state,
     from :func:`_random_choices`.  ``live``, a list, receives the live
     positions after each stage (B = 1).
     """
     nibs = _nibbles(syndromes)
     N, B = nibs.shape
-    back = np.empty((N, 4 if rng is None else 16, B), dtype=np.uint16)
+    back = np.empty((N, 4 if rngs is None else 16, B), dtype=np.uint16)
     tied = np.empty((N, 4, B), dtype=bool)
-    step = max(1, min(256, (_CHUNK if rng is None else _CHUNK // 64) // max(B, 1)))
+    step = max(1, min(256, (_CHUNK if rngs is None else _RANDOM_CHUNK) // max(B, 1)))
     size = min(step, N) * B
     # row 0 holds the survivor metrics entering the chunk, row n those leaving it
     entering_buf = np.empty((4, 4, min(step, N) + 1, B), dtype=np.int64)
@@ -371,10 +372,10 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None,
         np.equal(entering[:, :, :n], group[:, None], out=flags[0].reshape(4, 4, n, B))
         cosets[:, :, 1:] += group[:, 1:]
         np.equal(cosets, x[:, None], out=flags[1].reshape(4, 4, n, B))
-        branches = back[lo:lo + n].swapaxes(0, 1) if rng is None else None
+        branches = back[lo:lo + n].swapaxes(0, 1) if rngs is None else None
         _choices(flags, keys, branches, tied[lo:lo + n].swapaxes(0, 1))
-        if rng is not None:
-            back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rng).swapaxes(1, 2)
+        if rngs is not None:
+            back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rngs).swapaxes(1, 2)
         entering[:, :, 0] = entering[:, :, n]
     return entering_buf[:, :, 0].reshape(16, B).T.copy(), back, tied
 
@@ -414,21 +415,21 @@ def _traceback(tab: _TrellisTables, back, cols, tied, k):
     return codes, path_tied
 
 
-def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rng=None):
+def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None):
     """Forward pass, final boundary and traceback for a (B, 4N+2) 0/1 matrix.
 
     Returns (codes, tie_broken, feasible); rows that are not feasible carry
     arbitrary codes.
     """
-    metrics, back, tied = _sweep(tab, mt, syndromes, rng)
+    metrics, back, tied = _sweep(tab, mt, syndromes, rngs)
     final = np.where(tab.end_bit == syndromes[:, -1:], metrics, DEAD_METRIC)
     best = final.max(axis=1)
     ordered = final[:, tab.end_order]
-    if rng is None:
+    if rngs is None:
         k = tab.end_order[ordered.argmax(axis=1)]
     else:
-        k = np.array([rng.choice(tab.end_order[row == row.max()]) for row in ordered])
-    codes, path_tied = _traceback(tab, back, tab.succ_w.ravel() if rng is None else tab.order, tied, k)
+        k = np.array([g.choice(tab.end_order[row == row.max()]) for g, row in zip(rngs, ordered)])
+    codes, path_tied = _traceback(tab, back, tab.succ_w.ravel() if rngs is None else tab.order, tied, k)
     tie_broken = path_tied | ((final == best[:, None]).sum(axis=1) > 1)
     return codes, tie_broken, best > DEAD_METRIC
 
@@ -480,16 +481,14 @@ def viterbi_decode(
     syndromes = _check_inputs(code, schedule, syn)
     if tie_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    if tie_mode == "random":
-        if rng is None:
-            raise ValueError("tie_mode='random' requires an explicit rng or seed")
-        rng = make_rng(rng)
+    if tie_mode == "random" and rng is None:
+        raise ValueError("tie_mode='random' requires an explicit rng or seed")
 
-    codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes, rng)
-    if not feasible[0]:
+    result = decode_batch(code, schedule, syndromes, [make_rng(rng)] if tie_mode == "random" else None)
+    if not result.feasible[0]:
         raise InfeasibleSyndromeError("no positive-probability error matches this syndrome")
-    error = pauli_from_codes(codes[0])
-    return DecodeResult(error, log_likelihood(schedule, error), bool(tie_broken[0]))
+    return DecodeResult(pauli_from_codes(result.codes[0]), float(result.log_likelihood[0]),
+                        bool(result.tie_broken[0]))
 
 
 @dataclass(frozen=True)
@@ -501,21 +500,33 @@ class BatchDecodeResult:
 
 
 def decode_batch(
-    code: ConvolutionalCode, schedule: ChannelSchedule, syndromes: np.ndarray
+    code: ConvolutionalCode, schedule: ChannelSchedule, syndromes: np.ndarray, rngs=None
 ) -> BatchDecodeResult:
-    """Vectorized deterministic decoding of many syndromes at once.
+    """Vectorized decoding of many syndromes at once.
 
     ``syndromes`` is a (trials, 4N+2) 0/1 matrix.  The per-trial results are
     identical to :func:`viterbi_decode`; trials are independent, so chunking
     a workload differently cannot change any answer.
+
+    With ``rngs``, one Generator per trial, ties are broken uniformly at
+    random instead, each trial drawing from its own generator only: its stage
+    draws in stage order, then its final choice, as :func:`viterbi_decode` does.
     """
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
         raise ValueError(f"syndromes must have shape (trials, {4 * code.blocks + 2})")
     _check_schedule(code, schedule)
     syndromes = _check_bits(syndromes)
+    if rngs is not None and len(rngs) != len(syndromes):
+        raise ValueError(f"rngs holds {len(rngs)} generators for {len(syndromes)} trials")
 
-    codes, tie_broken, feasible = _decode(_tables(), metric_table(schedule), syndromes)
+    tab, mt = _tables(), metric_table(schedule)
+    if rngs is None or not len(syndromes):  # no trials, nothing to draw
+        codes, tie_broken, feasible = _decode(tab, mt, syndromes)
+    else:
+        slices = [_decode(tab, mt, syndromes[lo:lo + _RANDOM_CHUNK], rngs[lo:lo + _RANDOM_CHUNK])
+                  for lo in range(0, len(syndromes), _RANDOM_CHUNK)]
+        codes, tie_broken, feasible = (np.concatenate(parts) for parts in zip(*slices))
     codes[~feasible] = 0
     ll = np.where(feasible, log_likelihoods(schedule, codes), -np.inf)
     tie_broken &= feasible

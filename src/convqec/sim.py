@@ -12,8 +12,8 @@ Determinism: all randomness is drawn from Philox streams keyed as follows.
 
   * Trial sampling for a run uses SeedSequence(master_seed); errors are drawn
     in trial order, so chunk sizes and execution strategy cannot change them.
-  * Random tie-breaking (opt-in) uses SeedSequence(master_seed,
-    spawn_key=(1, trial_index)) per trial.
+  * Random tie-breaking (opt-in) decodes in batches, trial t drawing only
+    from its own SeedSequence(master_seed, spawn_key=(1, t)) stream.
   * Sweep row r derives its own master seed from
     SeedSequence((master_seed, r)); rows are therefore reproducible in
     isolation and independent of worker scheduling.
@@ -28,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSchedule, depolarizing, make_rng, sample_error_codes
-from .code import ConvolutionalCode, Syndrome, build_code, logical_action, syndrome_of
-from .decoder import brute_force_table, codes_of_index, decode_batch, viterbi_decode
+from .code import ConvolutionalCode, build_code, logical_action, syndrome_of
+from .decoder import brute_force_table, codes_of_index, decode_batch
 from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -96,6 +96,8 @@ def run_trials(
     chunk_size: int = 4096,
 ) -> SimStats:
     """Sample/decode/classify ``trials`` times; bit-reproducible per seed."""
+    if tie_mode not in ("deterministic", "random"):
+        raise ValueError(f"unknown tie_mode {tie_mode!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if chunk_size < 1:
@@ -111,19 +113,11 @@ def run_trials(
         syndromes = syndrome_bits_batch(code, sampled)
         if tie_mode == "deterministic":
             result = decode_batch(code, schedule, syndromes)
-            decoded, feasible = result.codes, result.feasible
         else:
-            decoded = np.zeros_like(sampled)
-            feasible = np.ones(batch, dtype=bool)
-            for t in range(batch):
-                seed = np.random.SeedSequence(master_seed, spawn_key=(1, done + t))
-                r = viterbi_decode(
-                    code, schedule, Syndrome(tuple(int(b) for b in syndromes[t])),
-                    tie_mode="random", rng=make_rng(seed),
-                )
-                decoded[t] = r.error.codes()
-        residual = sampled ^ decoded
-        live = np.flatnonzero(feasible)
+            seeds = (np.random.SeedSequence(master_seed, spawn_key=(1, t)) for t in range(done, done + batch))
+            result = decode_batch(code, schedule, syndromes, rngs=[make_rng(s) for s in seeds])
+        residual = sampled ^ result.codes
+        live = np.flatnonzero(result.feasible)
         if syndrome_bits_batch(code, residual[live]).any():
             raise AssertionError("residual error has nonzero syndrome; decoder is broken")
         actions = commutation_bits(residual[live], code.logical_table)

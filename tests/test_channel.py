@@ -162,6 +162,12 @@ def test_config_strictness():
         channel_from_config({"type": "schedule", "probs": [[1, 0, 0, 0]] * 2}, 7)
     with pytest.raises(ValueError):
         channel_from_config({"type": "depolarizing"}, 7)
+    for p in (None, True, "0.1", [0.1]):
+        with pytest.raises(ValueError, match="number 'p'"):
+            channel_from_config({"type": "depolarizing", "p": p}, 7)
+    with pytest.raises(ValueError, match="must be in"):
+        channel_from_config({"type": "depolarizing", "p": 10 ** 400}, 7)
+    assert (channel_from_config({"type": "depolarizing", "p": 1}, 7).probs == depolarizing(7, 1.0).probs).all()
 
 
 def test_channel_id_stability():

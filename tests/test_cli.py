@@ -86,6 +86,14 @@ def test_decode_random_tie_mode(capsys, channel_file):
     assert json.loads(capsys.readouterr().out) == first
 
 
+def test_channel_file_must_hold_an_object(tmp_path, capsys):
+    path = tmp_path / "channel.json"
+    path.write_text(json.dumps([DEPOL]))
+    assert run_cli("decode", "--blocks", "1", "--syndrome", "000000", "--channel", str(path)) == 2
+    assert run_cli("oracle-check", "--blocks", "1", "--channel", str(path), "--all-syndromes") == 2
+    assert capsys.readouterr().err.count("channel config must be an object") == 2
+
+
 def test_oracle_check_all_syndromes(capsys, channel_file):
     assert run_cli("oracle-check", "--blocks", "1", "--channel", channel_file,
                    "--all-syndromes") == 0
@@ -117,6 +125,35 @@ def test_simulate_zero_noise(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[1].split(",")[4] == "0"  # logical_errors
     assert lines[1].split(",")[5] == "0.0"
+
+
+def test_simulate_random_tie_mode_pinned(tmp_path, capsys):
+    """One full 4096-trial chunk of random ties at N = 10; the CSV was
+    recorded from the per-trial decode loop that batched random ties replaced."""
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({
+        "blocks": 10, "channel": {"type": "depolarizing", "p": 0.05},
+        "trials": 4096, "seed": 7, "tie_mode": "random",
+    }))
+    assert run_cli("simulate", str(config)) == 0
+    assert capsys.readouterr().out == (
+        "N,n,p_or_schedule_id,trials,logical_errors,rate,ci_low,ci_high,seed,elapsed_s\n"
+        "10,52,0.05,4096,931,0.227294921875,0.21471967851488727,0.24038120222926646,7,0.000\n"
+    )
+
+
+@pytest.mark.parametrize("p", [None, True, "0.1"])
+def test_malformed_depolarizing_p_exits_2(tmp_path, capsys, p):
+    channel = {"type": "depolarizing", "p": p}
+    channel_path = tmp_path / "channel.json"
+    channel_path.write_text(json.dumps(channel))
+    assert run_cli("decode", "--blocks", "1", "--syndrome", "000000", "--channel", str(channel_path)) == 2
+    assert "number 'p'" in capsys.readouterr().err
+    config = tmp_path / "sim.json"
+    config.write_text(json.dumps({"blocks": 1, "channel": channel, "trials": 10, "seed": 1}))
+    assert run_cli("simulate", str(config)) == 2
+    captured = capsys.readouterr()
+    assert "number 'p'" in captured.err and captured.out == ""
 
 
 def test_simulate_has_no_jobs_option(tmp_path, capsys):

@@ -346,6 +346,47 @@ def test_random_tie_mode_pinned_picks():
             assert result.log_likelihood == deterministic.log_likelihood
 
 
+def test_decode_batch_random_ties_match_single_decodes():
+    """Row t of decode_batch with rngs decodes as viterbi_decode with
+    tie_mode="random" and the same seed, for batches around the 64-trial
+    slices of the random choice pass and stage counts past its 64-stage
+    chunks, on sampled and uniformly random (often infeasible) syndromes."""
+    rng = np.random.default_rng(64)
+    code = build_code(70)
+    levels = np.array([[0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0.5, 0.25, 0.0, 0.25], [1.0, 0.0, 0.0, 0.0]])
+    sparse = schedule_from_probs(levels[(rng.random(code.n) * len(levels)).astype(int)])
+    infeasible = tied = 0
+    for schedule in (depolarizing(code.n, 0.1), sparse):
+        sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 40))
+        uniform = rng.random((25, 4 * code.blocks + 2)) < 0.5
+        syndromes = np.concatenate([uniform[:2], sampled, uniform[2:]]).astype(np.uint8)
+        for trials in (1, 63, 64, 65):
+            seeds = range(100 * trials, 101 * trials)
+            batch = decode_batch(code, schedule, syndromes[:trials], rngs=[make_rng(s) for s in seeds])
+            for t, seed in enumerate(seeds):
+                syn = Syndrome(tuple(int(b) for b in syndromes[t]))
+                try:
+                    single = viterbi_decode(code, schedule, syn, tie_mode="random", rng=seed)
+                except InfeasibleSyndromeError:
+                    assert not batch.feasible[t]
+                    continue
+                assert batch.feasible[t]
+                assert list(single.error.codes()) == batch.codes[t].tolist()
+                assert single.log_likelihood == batch.log_likelihood[t]
+                assert single.tie_broken == bool(batch.tie_broken[t])
+            infeasible += int((~batch.feasible).sum())
+            tied += int(batch.tie_broken.sum())
+    assert infeasible and tied
+
+
+def test_decode_batch_rejects_wrong_number_of_rngs():
+    code = build_code(2)
+    syndromes = np.zeros((3, 10), dtype=np.uint8)
+    for count in (0, 2, 4):
+        with pytest.raises(ValueError, match="generators for 3 trials"):
+            decode_batch(code, depolarizing(code.n, 0.1), syndromes, rngs=[make_rng(s) for s in range(count)])
+
+
 def test_unknown_tie_mode_rejected():
     code = build_code(1)
     with pytest.raises(ValueError, match="tie_mode"):
@@ -546,3 +587,20 @@ def test_decode_batch_transient_peak_bounded():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak / (10 * 4096) <= 96
+
+
+def test_decode_batch_random_ties_transient_peak_bounded():
+    """Random ties draw 1024 doubles per (stage, trial), so the choice pass
+    goes 64 trials at a time: at N = 10 with 4096 trials decode_batch's peak
+    stays at most 192 bytes per block-trial, not the ~50 KB per block-trial
+    of one pass over the whole batch."""
+    code = build_code(10)
+    schedule = depolarizing(code.n, 0.02)
+    syndromes = syndrome_bits_batch(code, sample_error_codes(schedule, make_rng(11), 4096)).astype(np.uint8)
+    decode_batch(code, schedule, syndromes[:1], rngs=[make_rng(0)])  # caches the metric table
+    rngs = [make_rng(seed) for seed in range(4096)]
+    tracemalloc.start()
+    decode_batch(code, schedule, syndromes, rngs=rngs)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak / (10 * 4096) <= 192

@@ -90,6 +90,42 @@ def test_run_trials_random_tie_mode_reproducible():
     assert a.logical_errors == 5
 
 
+# Random-mode logical error counts recorded from the per-trial decode loop
+# that batched random ties replaced: (blocks, p, trials) -> count, seeded
+# with 1000 * blocks + trials.  Trial counts sit around the 64-trial slices
+# of the random-mode choice pass; every chunk size must give the same count.
+RANDOM_RUN_TRIALS_PINS = {
+    (1, 0.3, 63): 32, (1, 0.3, 64): 28, (1, 0.3, 65): 21, (1, 0.3, 129): 55,
+    (10, 0.1, 63): 36, (10, 0.1, 64): 41, (10, 0.1, 65): 43, (10, 0.1, 129): 83,
+    (300, 0.01, 65): 22,
+}
+
+
+def test_run_trials_random_tie_mode_pinned():
+    for (blocks, p, trials), count in RANDOM_RUN_TRIALS_PINS.items():
+        code = build_code(blocks)
+        schedule = depolarizing(code.n, p)
+        for chunk_size in (1, 7, 4096):
+            stats = run_trials(code, schedule, trials, master_seed=1000 * blocks + trials,
+                               tie_mode="random", chunk_size=chunk_size)
+            assert (stats.logical_errors, stats.infeasible) == (count, 0)
+
+
+def test_unknown_tie_mode_rejected_before_sampling(monkeypatch):
+    import convqec.sim
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking tie_mode")
+
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", no_sampling)
+    code = build_code(1)
+    for tie_mode in ("coin", "Deterministic"):
+        with pytest.raises(ValueError, match="unknown tie_mode"):
+            run_trials(code, depolarizing(code.n, 0.05), 200, master_seed=9, tie_mode=tie_mode)
+        with pytest.raises(ValueError, match="unknown tie_mode"):
+            sweep([1], [0.05], trials=20, master_seed=1, tie_mode=tie_mode)
+
+
 @pytest.mark.parametrize("chunk_size", [0, -5])
 def test_run_trials_rejects_nonpositive_chunk_size(chunk_size):
     code = build_code(1)
