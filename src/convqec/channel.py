@@ -40,6 +40,8 @@ class ChannelSchedule:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2 or self.probs.shape[1] != 4 or self.probs.shape[0] < 1:
             raise ValueError(f"probs must have shape (n, 4), got {self.probs.shape}")
+        if not np.isfinite(self.probs).all():  # NaN passes both checks below
+            raise ValueError("probabilities must be finite")
         if (self.probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
         sums = self.probs.sum(axis=1)
@@ -135,6 +137,11 @@ def channel_to_config(schedule: ChannelSchedule) -> dict:
     return {"type": "schedule", "probs": [[float(v) for v in row] for row in schedule.probs]}
 
 
+def _is_number(value) -> bool:
+    """An int or float from a config; a bool is not a number here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def channel_from_config(config: dict, n: int) -> ChannelSchedule:
     """Build a schedule from a config dict; unknown or missing keys are errors.
 
@@ -150,16 +157,19 @@ def channel_from_config(config: dict, n: int) -> ChannelSchedule:
         if extra:
             raise ValueError(f"unknown channel config key {sorted(extra)[0]!r}")
         p = config.get("p")
-        if isinstance(p, bool) or not isinstance(p, (int, float)):
+        if not _is_number(p):
             raise ValueError(f"depolarizing channel config requires a number 'p', got {p!r}")
         return depolarizing(n, p)
     if kind == "schedule":
         extra = set(config) - {"type", "probs"}
         if extra:
             raise ValueError(f"unknown channel config key {sorted(extra)[0]!r}")
-        if "probs" not in config:
-            raise ValueError("schedule channel config requires key 'probs'")
-        sched = schedule_from_probs(config["probs"])
+        probs = config.get("probs")
+        if not isinstance(probs, list) or not all(
+            isinstance(row, list) and all(_is_number(v) for v in row) for row in probs
+        ):
+            raise ValueError("schedule channel config requires 'probs' as a list of rows of numbers")
+        sched = schedule_from_probs(probs)
         if sched.n != n:
             raise ValueError(f"schedule covers {sched.n} qubits, code needs {n}")
         return sched

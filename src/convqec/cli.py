@@ -1,7 +1,10 @@
 """Command-line interface.
 
 Subcommands: verify, decode, oracle-check, simulate, sweep, export-circuit.
-Exit codes: 0 success, 1 check failure, 2 usage/config error.  Randomized
+Exit codes: 0 success, 1 check failure, 2 usage/config error.  The CLI checks
+a config's JSON shape and types (an object, no unknown or missing keys, ints
+that are not bools); the library function that uses a value checks its range.
+Either raises ValueError, which exits 2 with one ``error:`` line.  Randomized
 commands take an explicit --seed and otherwise fall back to DEFAULT_SEED;
 nothing is ever seeded from the clock.
 """
@@ -31,71 +34,58 @@ from .tableau import StabilizerTableau
 DEFAULT_SEED = 20210325
 
 
-class ConfigError(Exception):
-    pass
-
-
-def _positive_blocks(value: str) -> int:
-    try:
-        blocks = int(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {value!r}") from exc
-    if blocks < 1:
-        raise argparse.ArgumentTypeError("block count must be >= 1")
-    return blocks
-
-
-def _load_json(path: str) -> dict:
+def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        raise ValueError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
-def _require_keys(config: dict, required: dict, optional: dict, where: str) -> dict:
+def _require_keys(config, required: dict, optional: dict, where: str) -> dict:
+    """Shape and JSON types only; a kind of None leaves the value to the library."""
+    if not isinstance(config, dict):
+        raise ValueError(f"{where}: config must be an object, got {type(config).__name__}")
     unknown = set(config) - set(required) - set(optional)
     if unknown:
-        raise ConfigError(f"{where}: unknown key {sorted(unknown)[0]!r}")
+        raise ValueError(f"{where}: unknown key {sorted(unknown)[0]!r}")
     out = {}
-    for key, kind in required.items():
-        if key not in config:
-            raise ConfigError(f"{where}: missing required key {key!r}")
-        out[key] = _coerce(config[key], kind, key, where)
-    for key, kind in optional.items():
+    for key, kind in {**required, **optional}.items():
         if key in config:
-            out[key] = _coerce(config[key], kind, key, where)
+            out[key] = config[key] if kind is None else _coerce(config[key], kind, key, where)
+        elif key in required:
+            raise ValueError(f"{where}: missing required key {key!r}")
     return out
 
 
 def _coerce(value, kind, key: str, where: str):
     if kind == "int":
         if not isinstance(value, int) or isinstance(value, bool):
-            raise ConfigError(f"{where}: key {key!r} must be an integer")
+            raise ValueError(f"{where}: key {key!r} must be an integer")
         return value
     if kind == "int_list":
         if not isinstance(value, list) or not value or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in value
         ):
-            raise ConfigError(f"{where}: key {key!r} must be a non-empty list of integers")
+            raise ValueError(f"{where}: key {key!r} must be a non-empty list of integers")
         return value
     if kind == "float_list":
         if not isinstance(value, list) or not value or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
         ):
-            raise ConfigError(f"{where}: key {key!r} must be a non-empty list of numbers")
+            raise ValueError(f"{where}: key {key!r} must be a non-empty list of numbers")
         return [float(v) for v in value]
-    if kind == "dict":
-        if not isinstance(value, dict):
-            raise ConfigError(f"{where}: key {key!r} must be an object")
-        return value
-    if kind == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"{where}: key {key!r} must be a string")
-        return value
     raise AssertionError(kind)
+
+
+def _formatter(config: dict):
+    """The rows-to-text function the config's "format" names, checked before any run."""
+    fmt = config.get("format", "csv")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
+    return rows_to_csv if fmt == "csv" else rows_to_json
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -154,13 +144,7 @@ def cmd_verify(args) -> int:
 
 def cmd_decode(args) -> int:
     code = build_code(args.blocks)
-    expected = 4 * args.blocks + 2
-    if len(args.syndrome) != expected:
-        raise ConfigError(f"syndrome must have {expected} bits for --blocks {args.blocks}")
-    try:
-        syn = Syndrome.from_string(args.syndrome)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    syn = Syndrome.from_string(args.syndrome)
     schedule = channel_from_config(_load_json(args.channel), code.n)
     try:
         result = viterbi_decode(code, schedule, syn, tie_mode=args.tie, rng=args.seed)
@@ -176,10 +160,10 @@ def cmd_decode(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
-    if args.blocks > 2:
-        raise ConfigError("oracle check enumerates 4^n errors; --blocks must be <= 2")
     code = build_code(args.blocks)
     schedule = channel_from_config(_load_json(args.channel), code.n)
+    # first, so that the oracle's n <= 12 cap fires before any sampling
+    ll_table, winner, tie_table, feasible = brute_force_table(code, schedule)
     n_bits = 4 * args.blocks + 2
 
     if args.all_syndromes:
@@ -188,7 +172,6 @@ def cmd_oracle_check(args) -> int:
         sampled = sample_error_codes(schedule, make_rng(args.seed), args.samples)
         syndromes = syndrome_bits_batch(code, sampled)
 
-    ll_table, winner, tie_table, feasible = brute_force_table(code, schedule)
     batch = decode_batch(code, schedule, syndromes)
     index = syndromes @ (1 << np.arange(n_bits))
     both = batch.feasible & feasible[index]
@@ -207,22 +190,17 @@ def cmd_oracle_check(args) -> int:
 def cmd_simulate(args) -> int:
     config = _require_keys(
         _load_json(args.config),
-        required={"blocks": "int", "channel": "dict", "trials": "int", "seed": "int"},
-        optional={"tie_mode": "str", "format": "str"},
+        required={"blocks": "int", "channel": None, "trials": "int", "seed": "int"},
+        optional={"tie_mode": None, "format": None},
         where=args.config,
     )
-    if config["blocks"] < 1:
-        raise ConfigError(f"{args.config}: blocks must be >= 1")
-    if config["trials"] < 1:
-        raise ConfigError(f"{args.config}: trials must be >= 1")
-    tie_mode = config.get("tie_mode", "deterministic")
-    if tie_mode not in ("deterministic", "random"):
-        raise ConfigError(f"{args.config}: tie_mode must be 'deterministic' or 'random'")
+    to_text = _formatter(config)
     code = build_code(config["blocks"])
     schedule = channel_from_config(config["channel"], code.n)
-    stats = run_trials(code, schedule, config["trials"], config["seed"], tie_mode=tie_mode)
+    stats = run_trials(code, schedule, config["trials"], config["seed"],
+                       tie_mode=config.get("tie_mode", "deterministic"))
     row = SweepRow(code.blocks, code.n, channel_id(config["channel"]), stats)
-    _emit_rows([row], config.get("format", "csv"), args)
+    _write_output(to_text([row], include_timing=args.timing), args.out)
     return 0
 
 
@@ -230,26 +208,13 @@ def cmd_sweep(args) -> int:
     config = _require_keys(
         _load_json(args.config),
         required={"blocks": "int_list", "ps": "float_list", "trials": "int", "seed": "int"},
-        optional={"format": "str"},
+        optional={"format": None},
         where=args.config,
     )
-    if any(b < 1 for b in config["blocks"]):
-        raise ConfigError(f"{args.config}: blocks must all be >= 1")
-    if any(not 0.0 <= p <= 1.0 for p in config["ps"]):
-        raise ConfigError(f"{args.config}: ps must lie in [0, 1]")
+    to_text = _formatter(config)
     rows = sweep(config["blocks"], config["ps"], config["trials"], config["seed"], jobs=args.jobs)
-    _emit_rows(rows, config.get("format", "csv"), args)
+    _write_output(to_text(rows, include_timing=args.timing), args.out)
     return 0
-
-
-def _emit_rows(rows, fmt: str, args) -> None:
-    if fmt == "csv":
-        text = rows_to_csv(rows, include_timing=args.timing)
-    elif fmt == "json":
-        text = rows_to_json(rows, include_timing=args.timing)
-    else:
-        raise ConfigError(f"unknown output format {fmt!r} (expected 'csv' or 'json')")
-    _write_output(text, args.out)
 
 
 def cmd_export_circuit(args) -> int:
@@ -267,14 +232,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check code algebra, circuits, and encoder contract")
-    p.add_argument("--blocks", type=_positive_blocks, required=True)
+    p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--describe", default=None, metavar="PATH",
                    help="also write the code description (generators, logicals) as JSON")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("decode", help="decode one syndrome bit string")
-    p.add_argument("--blocks", type=_positive_blocks, required=True)
+    p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--syndrome", required=True, help="bit string, length 4N+2")
     p.add_argument("--channel", required=True, help="channel config JSON file")
     p.add_argument("--tie", choices=("deterministic", "random"), default="deterministic")
@@ -282,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("oracle-check", help="compare the decoder with brute force (N <= 2)")
-    p.add_argument("--blocks", type=_positive_blocks, required=True)
+    p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--channel", required=True)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--all-syndromes", action="store_true")
@@ -304,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("export-circuit", help="write the layered gate list of a circuit")
-    p.add_argument("--blocks", type=_positive_blocks, required=True)
+    p.add_argument("--blocks", type=int, required=True)
     p.add_argument("--which", choices=("encode", "decode"), required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_export_circuit)
@@ -320,7 +285,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

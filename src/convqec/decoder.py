@@ -457,7 +457,7 @@ def _check_inputs(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndr
     _check_schedule(code, schedule)
     expected = 4 * code.blocks + 2
     if len(syn.bits) != expected:
-        raise ValueError(f"syndrome has {len(syn.bits)} bits, expected {expected}")
+        raise ValueError(f"syndrome has {len(syn.bits)} bits, expected {expected} bits")
     try:  # bytes() converts ints in 0..255 without a Python loop over the bits
         bits = np.frombuffer(bytes(syn.bits), dtype=np.uint8)
     except (TypeError, ValueError):

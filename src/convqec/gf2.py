@@ -52,10 +52,3 @@ class RowBasis:
         reduced, tag = self._reduce(row, 0)
         return tag if reduced == 0 else None
 
-
-def rank(rows) -> int:
-    """Rank of a GF(2) matrix given as an iterable of bit-packed rows."""
-    basis = RowBasis()
-    for row in rows:
-        basis.add(row)
-    return basis.rank

@@ -87,6 +87,13 @@ def syndrome_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.nda
     return commutation_bits(code_mat, code.generator_table)
 
 
+def _check_run(trials: int, tie_mode: str) -> None:
+    if tie_mode not in ("deterministic", "random"):
+        raise ValueError(f"unknown tie_mode {tie_mode!r}")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+
+
 def run_trials(
     code: ConvolutionalCode,
     schedule: ChannelSchedule,
@@ -96,10 +103,7 @@ def run_trials(
     chunk_size: int = 4096,
 ) -> SimStats:
     """Sample/decode/classify ``trials`` times; bit-reproducible per seed."""
-    if tie_mode not in ("deterministic", "random"):
-        raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_run(trials, tie_mode)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     start = time.perf_counter()
@@ -201,7 +205,14 @@ def sweep(
 
     Rows are independent; with jobs > 1 they run in a process pool, and the
     per-row seed derivation makes parallel output identical to serial.
+    The whole grid is checked before any row runs.
     """
+    _check_run(trials, tie_mode)
+    for blocks in blocks_list:
+        if blocks < 1:
+            raise ValueError(f"block count must be >= 1, got {blocks}")
+    for p in ps:
+        depolarizing(1, p)  # raises for p outside [0, 1]
     tasks = []
     for idx, (blocks, p) in enumerate((b, p) for b in blocks_list for p in ps):
         tasks.append((blocks, p, trials, derive_row_seed(master_seed, idx), tie_mode))

@@ -49,6 +49,28 @@ def test_schedule_validation():
         ChannelSchedule(np.ones((3, 3)))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_schedule_rejects_non_finite_probabilities(bad):
+    with pytest.raises(ValueError, match="finite"):
+        schedule_from_probs([[1.0, 0.0, 0.0, 0.0], [bad, 0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        channel_from_config({"type": "schedule", "probs": [[bad] * 4] * 7}, 7)
+
+
+@pytest.mark.parametrize("probs", [
+    [["0.97", "0.01", "0.01", "0.01"]] * 7,
+    [[True, False, False, False]] * 7,
+    [[1, 0, 0, None]] * 7,
+    [1, 0, 0, 0],
+    "1000",
+    None,
+])
+def test_schedule_config_probs_must_be_rows_of_numbers(probs):
+    config = {"type": "schedule", "probs": probs} if probs is not None else {"type": "schedule"}
+    with pytest.raises(ValueError, match="'probs' as a list of rows of numbers"):
+        channel_from_config(config, 7)
+
+
 def test_sampling_is_deterministic_per_seed():
     s = depolarizing(20, 0.2)
     assert str(sample_error(s, 99)) == str(sample_error(s, 99))

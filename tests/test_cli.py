@@ -280,3 +280,79 @@ def test_package_all_names_no_modules():
 
     assert {"build_code", "decode_batch", "StabilizerTableau"} <= set(convqec.__all__)
     assert not [name for name in convqec.__all__ if isinstance(getattr(convqec, name), types.ModuleType)]
+
+
+SIM = {"blocks": 1, "channel": DEPOL, "trials": 10, "seed": 1}
+SWEEP = {"blocks": [1], "ps": [0.01], "trials": 10, "seed": 1}
+
+
+def config_path(tmp_path, config):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    return str(path)
+
+
+NAN_ROWS = ", ".join(["[NaN, NaN, NaN, NaN]"] * 7)  # json parses the literal NaN
+
+# (subcommand, config file contents or None, extra argv, text the error line names)
+ERROR_CASES = {
+    "simulate blocks 0": ("simulate", {**SIM, "blocks": 0}, [], "got 0"),
+    "simulate trials 0": ("simulate", {**SIM, "trials": 0}, [], "trials must be >= 1"),
+    "simulate tie_mode coin": ("simulate", {**SIM, "tie_mode": "coin"}, [], "tie_mode 'coin'"),
+    "simulate tie_mode 5": ("simulate", {**SIM, "tie_mode": 5}, [], "tie_mode 5"),
+    "simulate format xml": ("simulate", {**SIM, "format": "xml"}, [], "format 'xml'"),
+    "simulate format list": ("simulate", {**SIM, "format": ["csv"]}, [], "format ['csv']"),
+    "simulate NaN probs": ("simulate", '{"blocks": 1, "channel": {"type": "schedule", "probs": [%s]}, '
+                           '"trials": 20, "seed": 7}' % NAN_ROWS, [], "probabilities must be finite"),
+    "simulate string probs": ("simulate", {**SIM, "channel": {"type": "schedule", "probs": [
+        ["0.97", "0.01", "0.01", "0.01"]] * 7}}, [], "'probs'"),
+    "simulate bool probs": ("simulate", {**SIM, "channel": {"type": "schedule", "probs": [
+        [True, False, False, False]] * 7}}, [], "'probs'"),
+    "sweep blocks [0]": ("sweep", {**SWEEP, "blocks": [0]}, [], "got 0"),
+    "sweep ps [1.5]": ("sweep", {**SWEEP, "ps": [1.5]}, [], "got 1.5"),
+    "decode blocks 0": ("decode", None, ["--blocks", "0", "--syndrome", "00"], "got 0"),
+    "decode short syndrome": ("decode", None, ["--blocks", "1", "--syndrome", "00000"], "5 bits, expected 6 bits"),
+    "decode non-0/1 syndrome": ("decode", None, ["--blocks", "1", "--syndrome", "00002a"], "'00002a'"),
+    "oracle-check blocks 3 samples": ("oracle-check", None, ["--blocks", "3", "--samples", "5"], "n = 17"),
+    "oracle-check blocks 3 all": ("oracle-check", None, ["--blocks", "3", "--all-syndromes"], "n = 17"),
+    "verify blocks 0": ("verify", None, ["--blocks", "0"], "got 0"),
+    "export-circuit blocks 0": ("export-circuit", None, ["--blocks", "0", "--which", "encode"], "got 0"),
+}
+ERROR_CASES.update({
+    f"{command} config {text}": (command, text, [], "config must be an object")
+    for command in ("simulate", "sweep") for text in ("5", "null", '[{"a": 1}]', '"abc"')
+})
+
+
+@pytest.mark.parametrize("case", ERROR_CASES)
+def test_config_errors_exit_2_with_one_error_line(tmp_path, capsys, channel_file, case):
+    command, config, extra, named = ERROR_CASES[case]
+    if config is not None:
+        argv = [command, config_path(tmp_path, config)]
+    elif command in ("decode", "oracle-check"):
+        argv = [command, "--channel", channel_file]
+    else:
+        argv = [command]
+    assert run_cli(*argv, *extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert named in captured.err
+
+
+def test_bad_config_runs_nothing(tmp_path, capsys, monkeypatch, channel_file):
+    import convqec.cli
+    import convqec.sim
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the config was checked")
+
+    for name in ("run_trials", "sweep", "sample_error_codes"):
+        monkeypatch.setattr(convqec.cli, name, never)
+    assert run_cli("simulate", config_path(tmp_path, {**SIM, "format": "xml"})) == 2
+    assert run_cli("sweep", config_path(tmp_path, {**SWEEP, "format": "xml"})) == 2
+    assert run_cli("oracle-check", "--blocks", "3", "--channel", channel_file, "--samples", "5") == 2
+    monkeypatch.undo()
+    monkeypatch.setattr(convqec.sim, "_run_sweep_row", never)
+    for grid in ({"blocks": [40, 0]}, {"ps": [0.02, 1.5]}, {"trials": 0}):
+        assert run_cli("sweep", config_path(tmp_path, {**SWEEP, **grid})) == 2

@@ -126,6 +126,25 @@ def test_unknown_tie_mode_rejected_before_sampling(monkeypatch):
             sweep([1], [0.05], trials=20, master_seed=1, tie_mode=tie_mode)
 
 
+@pytest.mark.parametrize("grid, kwargs, match", [
+    (([40, 0], [0.02], 20000), {}, "block count must be >= 1, got 0"),
+    (([1], [0.02, 1.5], 20), {}, r"\[0, 1\], got 1.5"),
+    (([1], [float("nan")], 20), {}, r"\[0, 1\], got nan"),
+    (([1], [0.02], 0), {}, "trials must be >= 1"),
+    (([1], [0.02], 20), {"tie_mode": "coin"}, "unknown tie_mode"),
+    (([1, 0], [0.02], 20), {"jobs": 2}, "block count"),
+])
+def test_sweep_checks_the_grid_before_any_row(monkeypatch, grid, kwargs, match):
+    import convqec.sim
+
+    def no_rows(task):
+        raise AssertionError("ran a sweep row before checking the grid")
+
+    monkeypatch.setattr(convqec.sim, "_run_sweep_row", no_rows)
+    with pytest.raises(ValueError, match=match):
+        sweep(*grid, master_seed=1, **kwargs)
+
+
 @pytest.mark.parametrize("chunk_size", [0, -5])
 def test_run_trials_rejects_nonpositive_chunk_size(chunk_size):
     code = build_code(1)
