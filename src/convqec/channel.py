@@ -77,11 +77,19 @@ def schedule_from_probs(rows) -> ChannelSchedule:
     return ChannelSchedule(np.array(rows, dtype=np.float64))
 
 
+def _check_seed(seed) -> None:
+    """Reject a negative integer seed by name; numpy's own error for it,
+    "expected non-negative integer", names neither the seed nor its value."""
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+
+
 def make_rng(seed) -> np.random.Generator:
     """Counter-based (Philox) generator; same seed gives the same stream
     on every platform.  Accepts an int, SeedSequence, or existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -91,6 +99,8 @@ def sample_error_codes(schedule: ChannelSchedule, rng, count: int) -> np.ndarray
     Per qubit, one uniform draw is bucketed against the cumulative
     (p_I, p_X, p_Y, p_Z) thresholds, in that documented order.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     rng = make_rng(rng)
     cum = np.cumsum(schedule.probs, axis=1)
     u = rng.random((count, schedule.n))

@@ -160,6 +160,8 @@ def cmd_decode(args) -> int:
 
 
 def cmd_oracle_check(args) -> int:
+    if args.samples is not None and args.samples < 1:  # 0 samples would check nothing and pass
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
     code = build_code(args.blocks)
     schedule = channel_from_config(_load_json(args.channel), code.n)
     # first, so that the oracle's n <= 12 cap fires before any sampling

@@ -36,11 +36,12 @@ max-plus product whose tables are computed up front per chunk of stages;
 with one trial a stage is two numpy calls.  One vectorised pass per chunk
 then rebuilds the survivor metrics and records which survivors and classes
 attained their maxima, and a choice pass (``_choices``) turns that into
-branches and tie flags.  Both passes work class-major: the class and rank
-axes of length 4 come first and a chunk's (stage, trial) pairs last, so a
-maximum, comparison or gather over classes is one numpy call on contiguous
-slabs of n*B elements, not an inner loop of 4 elements per (stage, trial),
-which is what bounded the batched Monte Carlo path.
+decision words, a branch and its tie flag in one.  Both passes work
+class-major: the class and rank axes of length 4 come first and a chunk's
+(stage, trial) pairs last, so a maximum, comparison or gather over classes
+is one numpy call on contiguous slabs of n*B elements, not an inner loop of
+4 elements per (stage, trial), which is what bounded the batched Monte
+Carlo path.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -128,8 +129,8 @@ class _TrellisTables:
     v = sig_pred and 4 successor classes w = sig_succ >> 2, the triples into
     16 cosets of sig_mid, 4 each, and under nibble s class v reaches class w
     through the triples of coset s ^ 4w ^ v.  Survivors sit at positions
-    4v + q, q the tie rank 4*c2 + c1 within the class; a branch is stored as
-    64 * (predecessor position) + triple.
+    4v + q, q the tie rank 4*c2 + c1 within the class; a decision word is the
+    branch 64 * (predecessor position) + triple, plus _TIE if it was tied.
     """
 
     order: np.ndarray        # (16,) uint8 state at each position
@@ -225,19 +226,19 @@ def _nibbles(syndromes: np.ndarray) -> np.ndarray:
 _SURVIVOR_BITS = np.array([4 * v + ((m & -m).bit_length() - 1 if m else 0) + 16 * (bin(m).count("1") > 1)
                            for v in range(4) for m in range(16)], dtype=np.uint16)
 _CLASS_BITS = np.arange(0, 64, 16, dtype=np.uint8)[:, None]
+_TIE = np.uint16(1 << 10)  # tie flag of a decision word, the bit above its 10-bit branch
 
 
-def _choices(flags: np.ndarray, keys: np.ndarray, back: np.ndarray, tied: np.ndarray) -> None:
-    """Deterministic branch and tie flag of each successor class, written
-    into ``back`` (unless None) and ``tied`` (4, n, B), from a chunk's
-    class-major survivor and class flags (2, 4, 4, n*B) and coset keys
-    (4, 4, n*B) [w, v, j].
+def _choices(flags: np.ndarray, keys: np.ndarray, words: np.ndarray) -> None:
+    """Deterministic decision word of each successor class, written into
+    ``words`` (4, n, B), from a chunk's class-major survivor and class flags
+    (2, 4, 4, n*B) and coset keys (4, 4, n*B) [w, v, j].
 
     Among tied classes the winner is the one whose coset's smallest best
-    triple is smallest; within it, the first tied survivor.  A successor is
-    tied unless one class, one survivor and one triple attain its best.
-    Cosets are disjoint, so a key's triple alone decides the least key, and
-    the winning class's survivor bits ride along below it.
+    triple is smallest; within it, the first tied survivor.  A successor's
+    word carries _TIE unless one class, one survivor and one triple attain
+    its best.  Cosets are disjoint, so a key's triple alone decides the
+    least key, and the winning class's survivor bits ride along below it.
     """
     survivors, classes = flags.view(np.uint8)  # [v, q, j] and [w, v, j]
     mask = survivors[:, 0] | survivors[:, 1] << 1
@@ -246,26 +247,26 @@ def _choices(flags: np.ndarray, keys: np.ndarray, back: np.ndarray, tied: np.nda
     mask |= _CLASS_BITS
     keys |= _SURVIVOR_BITS.take(mask)
     np.copyto(keys, np.uint16(0xFFFF), where=~flags[1])
-    least = np.minimum.reduce(keys, axis=1).reshape(tied.shape)
-    if back is not None:
-        np.bitwise_or((least & 15) << 6, least >> 6, out=back)
-    np.greater(np.add.reduce(classes, axis=1, dtype=np.uint8).reshape(tied.shape), 1, out=tied)
-    tied |= (least & 48) > 0
+    least = np.minimum.reduce(keys, axis=1).reshape(words.shape)
+    several = np.add.reduce(classes, axis=1, dtype=np.uint8).reshape(words.shape) > 1
+    several |= (least & 48) > 0  # several survivors or several triples
+    np.bitwise_or((least & 15) << 6, least >> 6, out=words)
+    words |= several * _TIE  # a masked OR (where=several) ran over 2x slower on this strided view
 
 
 def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rngs):
-    """Random-mode branch (n, B, 16) of each successor state: its best slot
-    with the largest of its trial's ``random((n, 16, 64))`` draw from ``rngs``,
-    whose axes are stages, states and slots in tie order.  ``flags`` is
-    class-major, flag X of (stage, trial) j at X * (n*B) + j."""
+    """Random-mode branch (n, B, 16) of each successor position: its state's
+    best slot with the largest of its trial's ``random((n, 16, 64))`` draw
+    from ``rngs``, whose axes are stages, states and slots in tie order.
+    ``flags`` is class-major, flag X of (stage, trial) j at X * (n*B) + j."""
     n, B = nibs.shape
     branch, flat = tab.slot_branch[nibs], flags.ravel()  # branch: (n, B, 16, 64)
     at = np.arange(n * B).reshape(n, B, 1, 1)
-    tied = flat.take(at + n * B * (branch >> 6).astype(np.intp))
-    tied &= flat.take(at + n * B * tab.slot_class[nibs])
-    tied &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
-    pick = np.where(tied, np.stack([g.random((n, 16, 64)) for g in rngs], axis=1), -1.0).argmax(axis=3)
-    return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
+    best = flat.take(at + n * B * (branch >> 6).astype(np.intp))
+    best &= flat.take(at + n * B * tab.slot_class[nibs])
+    best &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
+    pick = np.where(best, np.stack([g.random((n, 16, 64)) for g in rngs], axis=1), -1.0).argmax(axis=3)
+    return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0][..., tab.order]
 
 
 # (stage, trial) pairs per chunk of _sweep, at most 256 stages; _RANDOM_CHUNK when each pair carries
@@ -279,9 +280,9 @@ _TABLE_TRIALS = 8
 def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None, live=None):
     """Forward and choice passes over a (B, 4N+2) 0/1 syndrome matrix.
 
-    Returns the final (B, 16) survivor metrics at positions, the branches
-    back (N, 4, B) of each successor class, and tied (N, 4, B).  The stages
-    run a chunk at a time, so temporaries stay bounded whatever N and B.
+    Returns the final (B, 16) survivor metrics at positions and the decision
+    words back (N, 4, B) of each successor class.  The stages run a chunk at
+    a time, so temporaries stay bounded whatever N and B.
 
     The layout is class-major (see the module docstring): the axes of
     length 4 lead and a chunk's (stage, trial) pairs j = i*B + b trail.  The
@@ -298,18 +299,17 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
     so int64 holds every sum.  Up to _TABLE_TRIALS trials a stage is two
     numpy calls on per-(stage, trial) [M | K] tables; larger batches go
     through P and C with maxima over (4, 4, B) slabs instead of building
-    a 4x4x4 product per trial.  After the loop one vectorised pass
-    per chunk rebuilds the entering metrics [v, q, i, b] and the flags
+    a 4x4x4 product per trial.  After the loop one vectorised pass per
+    chunk rebuilds the entering metrics [v, q, i, b] and the flags
     (2, 4, 4, n*B), which survivors attain their class maximum and which
     classes v attain the best sum of each successor class w, that the
-    choice pass reads.  With ``rngs``, back is (N, 16, B) by successor state,
-    from :func:`_random_choices`.  ``live``, a list, receives the live
-    positions after each stage (B = 1).
+    choice pass reads.  With ``rngs``, back is (N, 16, B) by successor
+    position, :func:`_random_choices`' branches with their classes' tie
+    flags.  ``live``, a list, receives the live positions per stage (B = 1).
     """
     nibs = _nibbles(syndromes)
     N, B = nibs.shape
     back = np.empty((N, 4 if rngs is None else 16, B), dtype=np.uint16)
-    tied = np.empty((N, 4, B), dtype=bool)
     step = max(1, min(256, (_CHUNK if rngs is None else _RANDOM_CHUNK) // max(B, 1)))
     size = min(step, N) * B
     # row 0 holds the survivor metrics entering the chunk, row n those leaving it
@@ -372,21 +372,22 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         np.equal(entering[:, :, :n], group[:, None], out=flags[0].reshape(4, 4, n, B))
         cosets[:, :, 1:] += group[:, 1:]
         np.equal(cosets, x[:, None], out=flags[1].reshape(4, 4, n, B))
-        branches = back[lo:lo + n].swapaxes(0, 1) if rngs is None else None
-        _choices(flags, keys, branches, tied[lo:lo + n].swapaxes(0, 1))
+        words = back[lo:lo + n].swapaxes(0, 1) if rngs is None else np.empty((4, n, B), dtype=np.uint16)
+        _choices(flags, keys, words)
         if rngs is not None:
             back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rngs).swapaxes(1, 2)
+            back[lo:lo + n] |= (words & _TIE)[tab.succ_w.ravel()].swapaxes(0, 1)  # each class's tie flag
         entering[:, :, 0] = entering[:, :, n]
-    return entering_buf[:, :, 0].reshape(16, B).T.copy(), back, tied
+    return entering_buf[:, :, 0].reshape(16, B).T.copy(), back
 
 
-def _traceback(tab: _TrellisTables, back, cols, tied, k):
+def _traceback(tab: _TrellisTables, back, cols, k):
     """Codes (B, n) of the survivors at positions ``k``, and whether any stage
-    on their paths was tied.  Position r took branch back[i, cols[r]] at
-    stage i, and its tie flag is tied[i, succ_w[r]].  The pointer chase is
-    sequential: one trial chases Python ints, which costs less than one
-    numpy call per stage; a batch chases all its trials per stage.  The
-    codes are then filled from the branches at once."""
+    on their paths was tied.  Position r took decision word back[i, cols[r]]
+    at stage i: its predecessor position is (word >> 6) & 15 and its tie
+    flag _TIE.  The pointer chase is sequential: one trial chases Python
+    ints, which costs less than one numpy call per stage; a batch chases all
+    its trials per stage.  The codes are then filled from the words at once."""
     N, width, B = back.shape
     rows = np.arange(B)
     codes = np.empty((B, 5 * N + 2), dtype=np.uint8)
@@ -398,21 +399,20 @@ def _traceback(tab: _TrellisTables, back, cols, tied, k):
         chain, col, at = [], cols.tolist(), int(k[0])
         for base in range(width * (N - 1), -1, -width):
             chain.append(flat[base + col[at]])
-            at = chain[-1] >> 6
+            at = chain[-1] >> 6 & 15
         steps[:, 0] = chain[::-1]
     else:
         for i in reversed(range(N)):
             steps[i] = back[i, cols[k], rows]
-            k = steps[i] >> 6
-    positions[:N] = steps >> 6
-    path_tied = tied[np.arange(N)[:, None], tab.succ_w.ravel()[positions[1:]], rows].any(axis=0)
+            k = (steps[i] >> 6) & 15
+    positions[:N] = (steps >> 6) & 15
     states = tab.order[positions]
     codes[:, 0::5] = (states >> 2).T
     codes[:, 1::5] = (states & 3).T
     codes[:, 2::5] = (steps & 3).T
     codes[:, 3::5] = ((steps >> 2) & 3).T
     codes[:, 4::5] = ((steps >> 4) & 3).T
-    return codes, path_tied
+    return codes, (steps >= _TIE).any(axis=0)
 
 
 def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None):
@@ -421,7 +421,7 @@ def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=Non
     Returns (codes, tie_broken, feasible); rows that are not feasible carry
     arbitrary codes.
     """
-    metrics, back, tied = _sweep(tab, mt, syndromes, rngs)
+    metrics, back = _sweep(tab, mt, syndromes, rngs)
     final = np.where(tab.end_bit == syndromes[:, -1:], metrics, DEAD_METRIC)
     best = final.max(axis=1)
     ordered = final[:, tab.end_order]
@@ -429,9 +429,8 @@ def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=Non
         k = tab.end_order[ordered.argmax(axis=1)]
     else:
         k = np.array([g.choice(tab.end_order[row == row.max()]) for g, row in zip(rngs, ordered)])
-    codes, path_tied = _traceback(tab, back, tab.succ_w.ravel() if rngs is None else tab.order, tied, k)
-    tie_broken = path_tied | ((final == best[:, None]).sum(axis=1) > 1)
-    return codes, tie_broken, best > DEAD_METRIC
+    codes, path_tie = _traceback(tab, back, tab.succ_w.ravel() if rngs is None else _ROWS16, k)
+    return codes, path_tie | ((final == best[:, None]).sum(axis=1) > 1), best > DEAD_METRIC
 
 
 @dataclass(frozen=True)
@@ -655,8 +654,8 @@ def survivor_merge_lag(
     """
     syndromes = _check_inputs(code, schedule, syn)
     tab, live = _tables(), []
-    _, back, _ = _sweep(tab, metric_table(schedule), syndromes, live=live)
-    preds = back[:, tab.succ_w.ravel(), 0] >> 6
+    _, back = _sweep(tab, metric_table(schedule), syndromes, live=live)
+    preds = (back[:, tab.succ_w.ravel(), 0] >> 6) & 15
 
     lags = []
     for s in range(1, code.blocks + 1):

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSchedule, depolarizing, make_rng, sample_error_codes
+from .channel import ChannelSchedule, _check_seed, depolarizing, make_rng, sample_error_codes
 from .code import ConvolutionalCode, build_code, logical_action, syndrome_of
 from .decoder import brute_force_table, codes_of_index, decode_batch
 from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
@@ -87,7 +87,8 @@ def syndrome_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.nda
     return commutation_bits(code_mat, code.generator_table)
 
 
-def _check_run(trials: int, tie_mode: str) -> None:
+def _check_run(trials: int, tie_mode: str, master_seed: int) -> None:
+    _check_seed(master_seed)
     if tie_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
     if trials < 1:
@@ -103,7 +104,7 @@ def run_trials(
     chunk_size: int = 4096,
 ) -> SimStats:
     """Sample/decode/classify ``trials`` times; bit-reproducible per seed."""
-    _check_run(trials, tie_mode)
+    _check_run(trials, tie_mode, master_seed)
     if chunk_size < 1:
         raise ValueError("chunk_size must be >= 1")
     start = time.perf_counter()
@@ -154,6 +155,7 @@ def collect_trials(
     """Per-trial outcomes for desk-scale studies; same sampling stream as
     :func:`run_trials`.  ``decoder`` is "viterbi" or "brute" (the latter
     decodes via the exhaustive table, for interchangeability checks)."""
+    _check_seed(master_seed)
     rng = make_rng(np.random.SeedSequence(master_seed))
     sampled = sample_error_codes(schedule, rng, trials)
     syndromes = syndrome_bits_batch(code, sampled)
@@ -182,6 +184,7 @@ class SweepRow:
 
 def derive_row_seed(master_seed: int, row_index: int) -> int:
     """Documented splitting rule: row r is seeded from SeedSequence((master, r))."""
+    _check_seed(master_seed)
     return int(np.random.SeedSequence((master_seed, row_index)).generate_state(1, np.uint64)[0])
 
 
@@ -207,7 +210,7 @@ def sweep(
     per-row seed derivation makes parallel output identical to serial.
     The whole grid is checked before any row runs.
     """
-    _check_run(trials, tie_mode)
+    _check_run(trials, tie_mode, master_seed)
     for blocks in blocks_list:
         if blocks < 1:
             raise ValueError(f"block count must be >= 1, got {blocks}")

@@ -79,6 +79,18 @@ def test_sampling_is_deterministic_per_seed():
     assert (a == b).all()
 
 
+def test_sampling_rejects_negative_count_and_seed():
+    s = depolarizing(4, 0.2)
+    assert sample_error_codes(s, make_rng(5), 0).shape == (0, 4)
+    with pytest.raises(ValueError, match="count must be >= 0, got -1"):
+        sample_error_codes(s, make_rng(5), -1)
+    for seed in (-1, np.int64(-7)):
+        with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+            make_rng(seed)
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            sample_error(s, seed)
+
+
 def test_sampling_zero_noise():
     s = depolarizing(9, 0.0)
     assert sample_error(s, 1) == identity(9)

@@ -292,6 +292,7 @@ def config_path(tmp_path, config):
     return str(path)
 
 
+NEG_SEED = "seed must be a non-negative integer, got -1"
 NAN_ROWS = ", ".join(["[NaN, NaN, NaN, NaN]"] * 7)  # json parses the literal NaN
 
 # (subcommand, config file contents or None, extra argv, text the error line names)
@@ -315,6 +316,17 @@ ERROR_CASES = {
     "decode non-0/1 syndrome": ("decode", None, ["--blocks", "1", "--syndrome", "00002a"], "'00002a'"),
     "oracle-check blocks 3 samples": ("oracle-check", None, ["--blocks", "3", "--samples", "5"], "n = 17"),
     "oracle-check blocks 3 all": ("oracle-check", None, ["--blocks", "3", "--all-syndromes"], "n = 17"),
+    "oracle-check samples 0": ("oracle-check", None, ["--blocks", "1", "--samples", "0"],
+                               "--samples must be >= 1, got 0"),
+    "oracle-check samples -1": ("oracle-check", None, ["--blocks", "1", "--samples", "-1"],
+                                "--samples must be >= 1, got -1"),
+    "oracle-check seed -1": ("oracle-check", None, ["--blocks", "1", "--samples", "5", "--seed", "-1"],
+                             NEG_SEED),
+    "simulate seed -1": ("simulate", {**SIM, "seed": -1}, [], NEG_SEED),
+    "sweep seed -1": ("sweep", {**SWEEP, "seed": -1}, [], NEG_SEED),
+    "decode random seed -1": ("decode", None, ["--blocks", "1", "--syndrome", "000000", "--tie", "random",
+                                               "--seed", "-1"], NEG_SEED),
+    "verify seed -1": ("verify", None, ["--blocks", "1", "--seed", "-1"], NEG_SEED),
     "verify blocks 0": ("verify", None, ["--blocks", "0"], "got 0"),
     "export-circuit blocks 0": ("export-circuit", None, ["--blocks", "0", "--which", "encode"], "got 0"),
 }

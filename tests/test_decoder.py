@@ -210,8 +210,10 @@ def test_decode_batch_accepts_zero_trials():
 
 
 def test_decode_batch_state_bytes_bounded():
-    """Per-stage state kept by decode_batch is at most 32 bytes per
-    block-trial: peak memory grows by no more than that per block-trial."""
+    """Per-stage state kept by decode_batch is at most 10 bytes per
+    block-trial, one uint16 decision word per successor class (8 B) and the
+    stage's syndrome nibble (1 B): peak memory grows by no more than that
+    per block-trial."""
     trials, peaks = 512, []
     for blocks in (100, 300):
         code = build_code(blocks)
@@ -223,7 +225,7 @@ def test_decode_batch_state_bytes_bounded():
         decode_batch(code, schedule, syndromes)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert (peaks[1] - peaks[0]) / (200 * trials) <= 32
+    assert (peaks[1] - peaks[0]) / (200 * trials) <= 10
 
 
 def test_decode_batch_matches_single():
@@ -391,6 +393,12 @@ def test_unknown_tie_mode_rejected():
     code = build_code(1)
     with pytest.raises(ValueError, match="tie_mode"):
         viterbi_decode(code, depolarizing(7, 0.01), Syndrome((0,) * 6), tie_mode="coin")
+
+
+def test_random_tie_mode_rejects_negative_seed():
+    code = build_code(1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        viterbi_decode(code, depolarizing(7, 0.01), Syndrome((0,) * 6), tie_mode="random", rng=-1)
 
 
 def test_survivor_merge_lag_bounds():

@@ -126,6 +126,27 @@ def test_unknown_tie_mode_rejected_before_sampling(monkeypatch):
             sweep([1], [0.05], trials=20, master_seed=1, tie_mode=tie_mode)
 
 
+def test_negative_seed_rejected_before_sampling(monkeypatch):
+    import convqec.sim
+
+    def never(*args):
+        raise AssertionError("sampled or ran a sweep row before checking the seed")
+
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", never)
+    monkeypatch.setattr(convqec.sim, "_run_sweep_row", never)
+    code = build_code(1)
+    schedule = depolarizing(code.n, 0.05)
+    for tie_mode in ("deterministic", "random"):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer, got -3"):
+            run_trials(code, schedule, 20, master_seed=-3, tie_mode=tie_mode)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        sweep([1], [0.05], trials=20, master_seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -2"):
+        collect_trials(code, schedule, 5, master_seed=-2)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -4"):
+        derive_row_seed(-4, 0)
+
+
 @pytest.mark.parametrize("grid, kwargs, match", [
     (([40, 0], [0.02], 20000), {}, "block count must be >= 1, got 0"),
     (([1], [0.02, 1.5], 20), {}, r"\[0, 1\], got 1.5"),
