@@ -35,13 +35,13 @@ best sum of each successor class, four numbers per trial, advanced by a
 max-plus product whose tables are computed up front per chunk of stages;
 with one trial a stage is two numpy calls.  One vectorised pass per chunk
 then rebuilds the survivor metrics and records which survivors and classes
-attained their maxima, and a choice pass (``_choices``) turns that into
-decision words, a branch and its tie flag in one.  Both passes work
-class-major: the class and rank axes of length 4 come first and a chunk's
-(stage, trial) pairs last, so a maximum, comparison or gather over classes
-is one numpy call on contiguous slabs of n*B elements, not an inner loop of
-4 elements per (stage, trial), which is what bounded the batched Monte
-Carlo path.
+attained their maxima, and a choice pass (``_choices``, or
+``_random_choices`` for random ties) turns that into decision words, a
+branch and its tie flag in one.  Both passes work class-major: the class
+and rank axes of length 4 come first and a chunk's (stage, trial) pairs
+last, so a maximum, comparison or gather over classes is one numpy call on
+contiguous slabs of n*B elements, not an inner loop of 4 elements per
+(stage, trial), which is what bounded the batched Monte Carlo path.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -54,7 +54,11 @@ again later, which breaks any exact tie contract.)  The reported
 log-likelihood is the unquantized float sum for the decoded string; the
 quantization only coarsens comparisons, treating errors within ~1e-9 log
 units of each other as ties.  Zero-probability branches carry a large
-negative sentinel and every stage clamps at that floor.
+negative sentinel and every stage clamps at that floor.  That is exact only
+while live path metrics stay above the sentinel, DEAD_METRIC = -2^59: at
+the worst per-qubit term, about -745 * 2^30, that holds for paths shorter
+than about 7.2e5 qubits (2^29 / 745), and a longer block could take a live
+path for a dead one.
 
 Tie-breaking (deterministic mode): among tied errors the decoder returns
 the one whose code sequence is smallest when read from the LAST qubit
@@ -70,9 +74,9 @@ replicates the order for free: enumerating errors as base-4 integers with
 qubit 1 in the least significant digit makes ascending index exactly this
 order.  It builds the metrics and syndromes of all 4^n errors one qubit at
 a time, as outer sums and outer XORs of per-qubit rows.
-``tie_mode="random"`` (``decode_batch`` with one generator per trial) instead
-picks uniformly among tied candidates from caller-supplied seeds, matching the
-behavior the construction allows while keeping runs reproducible.
+``tie_mode="random"`` (``decode_batch`` with one seed or Generator per trial)
+instead picks uniformly among tied candidates from caller-supplied seeds,
+matching the behavior the construction allows while keeping runs reproducible.
 """
 
 from __future__ import annotations
@@ -138,7 +142,7 @@ class _TrellisTables:
     succ_rank: np.ndarray    # (4, 4) position within class v of its state in successor class w
     members: np.ndarray      # (16, 4) uint8 triples of each coset, ascending
     slot_branch: np.ndarray  # (16, 16, 64) uint16 per (nibble, successor state): tie order
-    slot_class: np.ndarray   # (16, 16, 64) 16 + 4w + v of each slot, w and v its two classes
+    state_class: np.ndarray  # (16, 1) 16 + 4w of each state, w its successor class
     start_bit: np.ndarray    # (16,) syndrome bit of the opening boundary generator
     end_bit: np.ndarray      # (16,) same for the closing boundary generator
     end_order: np.ndarray    # (16,) positions sorted by the tie-break key
@@ -171,7 +175,7 @@ def _tables() -> _TrellisTables:
         succ_rank=np.argsort(succ_w.reshape(4, 4), axis=1),
         members=np.argsort(sig_mid, kind="stable").reshape(16, 4).astype(np.uint8),
         slot_branch=(64 * preds + triples[..., None]).reshape(16, 16, 64).astype(np.uint16),
-        slot_class=np.repeat(16 + sig_succ[:, None, None] + classes, 4, axis=3).reshape(16, 16, 64),
+        state_class=16 + sig_succ[:, None],
         start_bit=start_bit[order],
         end_bit=end_bit[order],
         end_order=np.argsort(order)[np.lexsort((first, second))],
@@ -255,18 +259,27 @@ def _choices(flags: np.ndarray, keys: np.ndarray, words: np.ndarray) -> None:
 
 
 def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags: np.ndarray, rngs):
-    """Random-mode branch (n, B, 16) of each successor position: its state's
-    best slot with the largest of its trial's ``random((n, 16, 64))`` draw
-    from ``rngs``, whose axes are stages, states and slots in tie order.
-    ``flags`` is class-major, flag X of (stage, trial) j at X * (n*B) + j."""
+    """Random-mode decision word (n, B, 16) of each successor position: its
+    state's best slot with the largest of its trial's ``random((n, 16, 64))``
+    draw from ``rngs``, whose axes are stages, states and slots in tie order,
+    plus _TIE if several slots are best.  ``flags`` is class-major, flag X of
+    (stage, trial) j at X * (n*B) + j: survivor position 4v + q at X = 4v + q,
+    class v of successor class w at X = 16 + 4w + v.
+
+    A state's 64 slots are exactly its (class, survivor, triple) combinations,
+    so several best slots is the rule of :func:`_choices`: tied unless one
+    class, one survivor and one triple attain the best.
+    """
     n, B = nibs.shape
     branch, flat = tab.slot_branch[nibs], flags.ravel()  # branch: (n, B, 16, 64)
     at = np.arange(n * B).reshape(n, B, 1, 1)
     best = flat.take(at + n * B * (branch >> 6).astype(np.intp))
-    best &= flat.take(at + n * B * tab.slot_class[nibs])
+    best &= flat.take(at + n * B * (tab.state_class + (branch >> 8)))
     best &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
     pick = np.where(best, np.stack([g.random((n, 16, 64)) for g in rngs], axis=1), -1.0).argmax(axis=3)
-    return np.take_along_axis(branch, pick[..., None], axis=3)[..., 0][..., tab.order]
+    words = np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
+    words |= (best.sum(axis=3, dtype=np.uint8) > 1) * _TIE  # at most 64 best slots
+    return words[..., tab.order]
 
 
 # (stage, trial) pairs per chunk of _sweep, at most 256 stages; _RANDOM_CHUNK when each pair carries
@@ -303,9 +316,9 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
     chunk rebuilds the entering metrics [v, q, i, b] and the flags
     (2, 4, 4, n*B), which survivors attain their class maximum and which
     classes v attain the best sum of each successor class w, that the
-    choice pass reads.  With ``rngs``, back is (N, 16, B) by successor
-    position, :func:`_random_choices`' branches with their classes' tie
-    flags.  ``live``, a list, receives the live positions per stage (B = 1).
+    choice pass reads.  With ``rngs``, Generators, back is (N, 16, B) by
+    successor position, the decision words of :func:`_random_choices`.
+    ``live``, a list, receives the live positions per stage (B = 1).
     """
     nibs = _nibbles(syndromes)
     N, B = nibs.shape
@@ -372,11 +385,10 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         np.equal(entering[:, :, :n], group[:, None], out=flags[0].reshape(4, 4, n, B))
         cosets[:, :, 1:] += group[:, 1:]
         np.equal(cosets, x[:, None], out=flags[1].reshape(4, 4, n, B))
-        words = back[lo:lo + n].swapaxes(0, 1) if rngs is None else np.empty((4, n, B), dtype=np.uint16)
-        _choices(flags, keys, words)
-        if rngs is not None:
+        if rngs is None:
+            _choices(flags, keys, back[lo:lo + n].swapaxes(0, 1))
+        else:
             back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rngs).swapaxes(1, 2)
-            back[lo:lo + n] |= (words & _TIE)[tab.succ_w.ravel()].swapaxes(0, 1)  # each class's tie flag
         entering[:, :, 0] = entering[:, :, n]
     return entering_buf[:, :, 0].reshape(16, B).T.copy(), back
 
@@ -483,7 +495,7 @@ def viterbi_decode(
     if tie_mode == "random" and rng is None:
         raise ValueError("tie_mode='random' requires an explicit rng or seed")
 
-    result = decode_batch(code, schedule, syndromes, [make_rng(rng)] if tie_mode == "random" else None)
+    result = decode_batch(code, schedule, syndromes, [rng] if tie_mode == "random" else None)
     if not result.feasible[0]:
         raise InfeasibleSyndromeError("no positive-probability error matches this syndrome")
     return DecodeResult(pauli_from_codes(result.codes[0]), float(result.log_likelihood[0]),
@@ -507,9 +519,11 @@ def decode_batch(
     identical to :func:`viterbi_decode`; trials are independent, so chunking
     a workload differently cannot change any answer.
 
-    With ``rngs``, one Generator per trial, ties are broken uniformly at
+    With ``rngs``, one seed or Generator per trial (anything
+    :func:`~convqec.channel.make_rng` accepts), ties are broken uniformly at
     random instead, each trial drawing from its own generator only: its stage
     draws in stage order, then its final choice, as :func:`viterbi_decode` does.
+    Generators are made from the seeds one slice of trials at a time.
     """
     syndromes = np.asarray(syndromes)
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
@@ -523,9 +537,9 @@ def decode_batch(
     if rngs is None or not len(syndromes):  # no trials, nothing to draw
         codes, tie_broken, feasible = _decode(tab, mt, syndromes)
     else:
-        slices = [_decode(tab, mt, syndromes[lo:lo + _RANDOM_CHUNK], rngs[lo:lo + _RANDOM_CHUNK])
-                  for lo in range(0, len(syndromes), _RANDOM_CHUNK)]
-        codes, tie_broken, feasible = (np.concatenate(parts) for parts in zip(*slices))
+        slices = (slice(lo, lo + _RANDOM_CHUNK) for lo in range(0, len(syndromes), _RANDOM_CHUNK))
+        decoded = [_decode(tab, mt, syndromes[at], [make_rng(r) for r in rngs[at]]) for at in slices]
+        codes, tie_broken, feasible = (np.concatenate(parts) for parts in zip(*decoded))
     codes[~feasible] = 0
     ll = np.where(feasible, log_likelihoods(schedule, codes), -np.inf)
     tie_broken &= feasible

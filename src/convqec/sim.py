@@ -39,6 +39,8 @@ def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[f
     """Wilson score interval; well behaved at zero and full counts."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if not 0 <= successes <= trials:
+        raise ValueError(f"successes must be in 0..trials, got {successes} of {trials}")
     phat = successes / trials
     denom = 1.0 + z * z / trials
     center = (phat + z * z / (2 * trials)) / denom
@@ -87,12 +89,32 @@ def syndrome_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.nda
     return commutation_bits(code_mat, code.generator_table)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer or is below 1: ``True`` would
+    run once and be reported as True, and a float would fail inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _check_run(trials: int, tie_mode: str, master_seed: int) -> None:
     _check_seed(master_seed)
     if tie_mode not in ("deterministic", "random"):
         raise ValueError(f"unknown tie_mode {tie_mode!r}")
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _check_count("trials", trials)
+
+
+def _logical_actions(code: ConvolutionalCode, sampled: np.ndarray, decoded: np.ndarray) -> np.ndarray:
+    """Logical action bits (trials, 2N) of each residual sampled*decoded.
+
+    Raises AssertionError if a residual has a nonzero syndrome: the decoder
+    returned an error whose syndrome differs from the sampled one.
+    """
+    residual = sampled ^ decoded  # codes XOR as the operators multiply
+    if syndrome_bits_batch(code, residual).any():
+        raise AssertionError("residual error has nonzero syndrome; decoder is broken")
+    return commutation_bits(residual, code.logical_table)
 
 
 def run_trials(
@@ -105,8 +127,7 @@ def run_trials(
 ) -> SimStats:
     """Sample/decode/classify ``trials`` times; bit-reproducible per seed."""
     _check_run(trials, tie_mode, master_seed)
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be >= 1")
+    _check_count("chunk_size", chunk_size)
     start = time.perf_counter()
     rng = make_rng(np.random.SeedSequence(master_seed))
     logical_errors = 0
@@ -119,13 +140,10 @@ def run_trials(
         if tie_mode == "deterministic":
             result = decode_batch(code, schedule, syndromes)
         else:
-            seeds = (np.random.SeedSequence(master_seed, spawn_key=(1, t)) for t in range(done, done + batch))
-            result = decode_batch(code, schedule, syndromes, rngs=[make_rng(s) for s in seeds])
-        residual = sampled ^ result.codes
+            seeds = [np.random.SeedSequence(master_seed, spawn_key=(1, t)) for t in range(done, done + batch)]
+            result = decode_batch(code, schedule, syndromes, rngs=seeds)
         live = np.flatnonzero(result.feasible)
-        if syndrome_bits_batch(code, residual[live]).any():
-            raise AssertionError("residual error has nonzero syndrome; decoder is broken")
-        actions = commutation_bits(residual[live], code.logical_table)
+        actions = _logical_actions(code, sampled[live], result.codes[live])
         logical_errors += int((actions.any(axis=1)).sum())
         infeasible += int(batch - live.size)
         done += batch
@@ -156,20 +174,17 @@ def collect_trials(
     :func:`run_trials`.  ``decoder`` is "viterbi" or "brute" (the latter
     decodes via the exhaustive table, for interchangeability checks)."""
     _check_seed(master_seed)
+    if decoder not in ("viterbi", "brute"):
+        raise ValueError(f"unknown decoder {decoder!r}")
     rng = make_rng(np.random.SeedSequence(master_seed))
     sampled = sample_error_codes(schedule, rng, trials)
     syndromes = syndrome_bits_batch(code, sampled)
     if decoder == "viterbi":
         decoded = decode_batch(code, schedule, syndromes).codes
-    elif decoder == "brute":
+    else:
         _, winner, _, _ = brute_force_table(code, schedule)
         decoded = codes_of_index(winner[syndromes @ (1 << np.arange(syndromes.shape[1]))], code.n)
-    else:
-        raise ValueError(f"unknown decoder {decoder!r}")
-    residual = sampled ^ decoded  # codes XOR as the operators multiply
-    if syndrome_bits_batch(code, residual).any():
-        raise ValueError("sampled and decoded errors have different syndromes")
-    actions = commutation_bits(residual, code.logical_table).tolist()
+    actions = _logical_actions(code, sampled, decoded).tolist()
     return [TrialOutcome(pauli_from_codes(s), pauli_from_codes(d), tuple(bits))
             for s, d, bits in zip(sampled, decoded, actions)]
 

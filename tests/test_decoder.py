@@ -352,7 +352,8 @@ def test_decode_batch_random_ties_match_single_decodes():
     """Row t of decode_batch with rngs decodes as viterbi_decode with
     tie_mode="random" and the same seed, for batches around the 64-trial
     slices of the random choice pass and stage counts past its 64-stage
-    chunks, on sampled and uniformly random (often infeasible) syndromes."""
+    chunks, on sampled and uniformly random (often infeasible) syndromes.
+    Int seeds, SeedSequences and Generators as rngs decode alike."""
     rng = np.random.default_rng(64)
     code = build_code(70)
     levels = np.array([[0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0.5, 0.25, 0.0, 0.25], [1.0, 0.0, 0.0, 0.0]])
@@ -365,6 +366,10 @@ def test_decode_batch_random_ties_match_single_decodes():
         for trials in (1, 63, 64, 65):
             seeds = range(100 * trials, 101 * trials)
             batch = decode_batch(code, schedule, syndromes[:trials], rngs=[make_rng(s) for s in seeds])
+            for rngs in (list(seeds), [np.random.SeedSequence(s) for s in seeds]):
+                again = decode_batch(code, schedule, syndromes[:trials], rngs=rngs)
+                for a, b in zip(vars(batch).values(), vars(again).values()):
+                    assert np.array_equal(a, b)
             for t, seed in enumerate(seeds):
                 syn = Syndrome(tuple(int(b) for b in syndromes[t]))
                 try:

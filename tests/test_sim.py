@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo harness and result emitters."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,7 +75,7 @@ def test_run_trials_reproducible_and_chunk_invariant():
     schedule = depolarizing(code.n, 0.02)
     a = run_trials(code, schedule, 4000, master_seed=42)
     b = run_trials(code, schedule, 4000, master_seed=42)
-    c = run_trials(code, schedule, 4000, master_seed=42, chunk_size=137)
+    c = run_trials(code, schedule, np.int64(4000), master_seed=42, chunk_size=np.int32(137))
     assert _stats_fields(a) == _stats_fields(b) == _stats_fields(c)
     different = run_trials(code, schedule, 4000, master_seed=43)
     assert _stats_fields(different) != _stats_fields(a)
@@ -109,6 +110,56 @@ def test_run_trials_random_tie_mode_pinned():
             stats = run_trials(code, schedule, trials, master_seed=1000 * blocks + trials,
                                tie_mode="random", chunk_size=chunk_size)
             assert (stats.logical_errors, stats.infeasible) == (count, 0)
+
+
+def test_run_trials_random_ties_peak_bounded():
+    """Random ties hand decode_batch one seed per trial, so run_trials at
+    N = 10 with one chunk of 4096 trials peaks at most 112 bytes per
+    block-trial under tracemalloc; building every generator of the chunk
+    before decoding measured 148."""
+    code = build_code(10)
+    schedule = depolarizing(code.n, 0.02)
+    run_trials(code, schedule, 1, master_seed=3, tie_mode="random")  # caches the metric table
+    tracemalloc.start()
+    run_trials(code, schedule, 4096, master_seed=3, tie_mode="random")
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak / (10 * 4096) <= 112
+
+
+def test_wrong_decode_fails_the_residual_check(monkeypatch):
+    """A decode with another syndrome than the sampled error's is a decoder
+    bug: AssertionError in run_trials and collect_trials alike, never the
+    ValueError of a config error."""
+    import convqec.sim
+
+    decode_batch = convqec.sim.decode_batch
+
+    def wrong_decode(code, schedule, syndromes, rngs=None):
+        result = decode_batch(code, schedule, syndromes, rngs)
+        result.codes[:, 0] ^= 1  # Z on qubit 1 anticommutes with the opening XZ generator
+        return result
+
+    monkeypatch.setattr(convqec.sim, "decode_batch", wrong_decode)
+    code = build_code(2)
+    schedule = depolarizing(code.n, 0.05)
+    for tie_mode in ("deterministic", "random"):
+        with pytest.raises(AssertionError, match="decoder is broken"):
+            run_trials(code, schedule, 20, master_seed=1, tie_mode=tie_mode)
+    with pytest.raises(AssertionError, match="decoder is broken"):
+        collect_trials(code, schedule, 20, master_seed=1)
+
+
+def test_unknown_decoder_rejected_before_sampling(monkeypatch):
+    import convqec.sim
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the decoder")
+
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", no_sampling)
+    code = build_code(1)
+    with pytest.raises(ValueError, match="unknown decoder 'coin'"):
+        collect_trials(code, depolarizing(code.n, 0.05), 5, master_seed=1, decoder="coin")
 
 
 def test_unknown_tie_mode_rejected_before_sampling(monkeypatch):
@@ -154,6 +205,8 @@ def test_negative_seed_rejected_before_sampling(monkeypatch):
     (([1], [0.02], 0), {}, "trials must be >= 1"),
     (([1], [0.02], 20), {"tie_mode": "coin"}, "unknown tie_mode"),
     (([1, 0], [0.02], 20), {"jobs": 2}, "block count"),
+    (([1], [0.02], True), {}, "trials must be an integer, got True"),
+    (([1], [0.02], 2.5), {}, "trials must be an integer, got 2.5"),
 ])
 def test_sweep_checks_the_grid_before_any_row(monkeypatch, grid, kwargs, match):
     import convqec.sim
@@ -171,6 +224,30 @@ def test_run_trials_rejects_nonpositive_chunk_size(chunk_size):
     code = build_code(1)
     with pytest.raises(ValueError, match="chunk_size"):
         run_trials(code, depolarizing(code.n, 0.02), 10, master_seed=1, chunk_size=chunk_size)
+
+
+@pytest.mark.parametrize("kwargs, match", [
+    ({"trials": True}, "trials must be an integer, got True"),
+    ({"trials": 2.5}, "trials must be an integer, got 2.5"),
+    ({"chunk_size": True}, "chunk_size must be an integer, got True"),
+    ({"chunk_size": 2.5}, "chunk_size must be an integer, got 2.5"),
+])
+def test_run_trials_rejects_non_integer_counts_before_sampling(monkeypatch, kwargs, match):
+    import convqec.sim
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking the counts")
+
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", no_sampling)
+    code = build_code(1)
+    with pytest.raises(ValueError, match=match):
+        run_trials(code, depolarizing(code.n, 0.02), **{"trials": 10, "master_seed": 1, **kwargs})
+
+
+def test_wilson_interval_rejects_successes_outside_trials():
+    for successes, trials in ((5, 3), (-1, 3)):
+        with pytest.raises(ValueError, match=f"got {successes} of {trials}"):
+            wilson_interval(successes, trials)
 
 
 def test_wilson_interval_contains_rate():
