@@ -34,6 +34,7 @@ from itertools import combinations
 
 import numpy as np
 
+from .code import _check_count
 from .pauli import Pauli, code_rows
 from .tableau import CliffordGate, StabilizerTableau, gate_cx, gate_cz, gate_h
 
@@ -53,8 +54,7 @@ class LayeredCircuit:
 
 def build_encoding_circuit(blocks: int) -> LayeredCircuit:
     """Six-layer online encoder for a code with ``blocks`` logical qubits."""
-    if blocks < 1:
-        raise ValueError(f"block count must be >= 1, got {blocks}")
+    _check_count("block count", blocks)
     n = 5 * blocks + 2
 
     ancillas = [1]

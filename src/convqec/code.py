@@ -81,10 +81,18 @@ class Syndrome:
         return cls(tuple(int(c) for c in s))
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a count that is not an integer or is below 1: ``True`` would
+    run once and be reported as True, and a float would fail inside numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+
+
 def build_code(blocks: int) -> ConvolutionalCode:
     """Instantiate the code with ``blocks`` logical qubits (n = 5*blocks + 2)."""
-    if blocks < 1:
-        raise ValueError(f"block count must be >= 1, got {blocks}")
+    _check_count("block count", blocks)
     n = 5 * blocks + 2
     block = pauli_from_string(BLOCK_GENERATOR)
     generators = [shift(pauli_from_string(START_GENERATOR), 0, n)]

@@ -20,7 +20,9 @@ State and window indexing (fixed once, used everywhere):
     (c1,c2) is the predecessor pair, (c3,c4,c5) the middle triple, and
     (c6,c7) the successor pair;
   * the four syndrome bits of stage i are packed little-endian into a nibble;
-  * a middle triple is indexed t = c3 + 4*c4 + 16*c5.
+  * a middle triple is indexed t = c3 + 4*c4 + 16*c5;
+  * a pair's survivor sits at position 4v + w, v its class and w its
+    successor class; its tie rank 4*c2 + c1 lives in the tie tables only.
 
 One kernel.  Every caller runs the same sweep (``_sweep``) and traceback
 (``_traceback``) over a (B, 4N+2) syndrome matrix: :func:`decode_batch` with
@@ -38,10 +40,10 @@ then rebuilds the survivor metrics and records which survivors and classes
 attained their maxima, and a choice pass (``_choices``, or
 ``_random_choices`` for random ties) turns that into decision words, a
 branch and its tie flag in one.  Both passes work class-major: the class
-and rank axes of length 4 come first and a chunk's (stage, trial) pairs
-last, so a maximum, comparison or gather over classes is one numpy call on
-contiguous slabs of n*B elements, not an inner loop of 4 elements per
-(stage, trial), which is what bounded the batched Monte Carlo path.
+axes of length 4 come first and a chunk's (stage, trial) pairs last, so a
+maximum, comparison or gather over classes is one numpy call on contiguous
+slabs of n*B elements, not an inner loop of 4 elements per (stage, trial),
+which is what bounded the batched Monte Carlo path.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -69,7 +71,7 @@ linear running time survives channels with many exact ties (a depolarizing
 channel ties every equal-weight pair).  Within a stage this means the
 smallest triple first, then the smallest predecessor rank 4*c2 + c1: among
 tied survivor classes the one whose coset's smallest best triple is
-smallest wins, and within it the first tied survivor.  The oracle
+smallest wins, and within it the tied survivor of least rank.  The oracle
 replicates the order for free: enumerating errors as base-4 integers with
 qubit 1 in the least significant digit makes ascending index exactly this
 order.  It builds the metrics and syndromes of all 4^n errors one qubit at
@@ -132,20 +134,20 @@ class _TrellisTables:
     bits 0-1 and sig_succ in bits 2-3.  So the states fall into 4 classes
     v = sig_pred and 4 successor classes w = sig_succ >> 2, the triples into
     16 cosets of sig_mid, 4 each, and under nibble s class v reaches class w
-    through the triples of coset s ^ 4w ^ v.  Survivors sit at positions
-    4v + q, q the tie rank 4*c2 + c1 within the class; a decision word is the
-    branch 64 * (predecessor position) + triple, plus _TIE if it was tied.
+    through the triples of coset s ^ 4w ^ v.  Each class holds one state of
+    each successor class, its survivor at position 4v + w; the tie rank
+    4*c2 + c1 lives only in survivor_pick and slot_branch.  A decision word
+    is the branch 64 * (predecessor position) + triple, plus _TIE if tied.
     """
 
-    order: np.ndarray        # (16,) uint8 state at each position
-    succ_w: np.ndarray       # (4, 4) successor class of the state at each position
-    succ_rank: np.ndarray    # (4, 4) position within class v of its state in successor class w
-    members: np.ndarray      # (16, 4) uint8 triples of each coset, ascending
-    slot_branch: np.ndarray  # (16, 16, 64) uint16 per (nibble, successor state): tie order
-    state_class: np.ndarray  # (16, 1) 16 + 4w of each state, w its successor class
-    start_bit: np.ndarray    # (16,) syndrome bit of the opening boundary generator
-    end_bit: np.ndarray      # (16,) same for the closing boundary generator
-    end_order: np.ndarray    # (16,) positions sorted by the tie-break key
+    order: np.ndarray          # (16,) uint8 state at each position
+    members: np.ndarray        # (16, 4) uint8 triples of each coset, ascending
+    survivor_pick: np.ndarray  # (64,) uint16 per 16v + flags w: least-rank flagged 4v + w, +16 if several
+    slot_branch: np.ndarray    # (16, 16, 64) uint16 per (nibble, successor state): tie order
+    state_class: np.ndarray    # (16, 1) 16 + 4w of each state, w its successor class
+    start_bit: np.ndarray      # (16,) syndrome bit of the opening boundary generator
+    end_bit: np.ndarray        # (16,) same for the closing boundary generator
+    end_order: np.ndarray      # (16,) positions sorted by the tie-break key
 
 
 @lru_cache(maxsize=1)
@@ -156,29 +158,30 @@ def _tables() -> _TrellisTables:
     sig_pred = flip[first, 0] ^ flip[second, 1]
     sig_mid = flip[t & 3, 2] ^ flip[(t >> 2) & 3, 3] ^ flip[t >> 4, 4]
     sig_succ = flip[first, 5] ^ flip[second, 6]
-    sizes = {*np.bincount(sig_pred), *np.bincount(sig_succ >> 2), *np.bincount(sig_mid)}
-    if (sig_succ & 3).any() or sizes != {4}:
+    position = 4 * sig_pred + (sig_succ >> 2)  # one state per (class, successor class) pair
+    if (sig_succ & 3).any() or {*np.bincount(sig_mid)} != {4} or (np.bincount(position) != 1).any():
         raise AssertionError("block syndrome does not split into predecessor, middle and successor parts")
 
-    order = np.lexsort((4 * second + first, sig_pred))
-    succ_w = sig_succ[order] >> 2
-    # random-mode slots: each admissible triple ascending, then its class's 4 survivors
+    order = np.argsort(position)
+    rank = (4 * second + first)[order].reshape(4, 4)  # [v, w]
+    flagged = _ROWS16[:, None] >> np.arange(4) & 1    # [flags, w]
+    pick = 4 * np.arange(4)[:, None] + (rank[:, None] - 16 * flagged).argmin(axis=2)
+    # random-mode slots: each admissible triple ascending, then its class's 4 survivors by rank
     need = sig_mid ^ (_ROWS16[:, None, None] ^ sig_succ[:, None])  # class each triple needs
     triples = np.nonzero(need < 4)[2].reshape(16, 16, 16)
-    classes = np.take_along_axis(need, triples, axis=2)[..., None]
-    preds = 4 * classes + np.arange(4)
+    classes = np.take_along_axis(need, triples, axis=2)
+    preds = 4 * classes[..., None] + np.argsort(rank, axis=1)[classes]
     start_bit = bits[0, first, 0] ^ bits[1, second, 0]  # XZ on qubits 1, 2
     end_bit = bits[5, first, 5] ^ bits[6, second, 5]    # ZX on qubits n-1, n
     return _TrellisTables(
         order=order.astype(np.uint8),
-        succ_w=succ_w.reshape(4, 4).astype(np.uint8),
-        succ_rank=np.argsort(succ_w.reshape(4, 4), axis=1),
         members=np.argsort(sig_mid, kind="stable").reshape(16, 4).astype(np.uint8),
+        survivor_pick=(pick + 16 * (flagged.sum(axis=1) > 1)).ravel().astype(np.uint16),
         slot_branch=(64 * preds + triples[..., None]).reshape(16, 16, 64).astype(np.uint16),
         state_class=16 + sig_succ[:, None],
         start_bit=start_bit[order],
         end_bit=end_bit[order],
-        end_order=np.argsort(order)[np.lexsort((first, second))],
+        end_order=np.argsort(rank, axis=None),
     )
 
 
@@ -197,7 +200,7 @@ def _segment_metrics(mt: np.ndarray):
 class _Segments:
     """Metric tables of a run of stages, for one channel."""
 
-    pairs: np.ndarray  # (n+1, 4, 4) pair metrics at positions
+    pairs: np.ndarray  # (n+1, 4, 4) pair metrics at positions, P [v, w]
     best: np.ndarray   # (n, 16) best triple metric of each coset
     key: np.ndarray    # (n, 16) uint16 (smallest best triple) << 6 | (several best triples) << 5
     hit: np.ndarray    # (n, 64) whether each triple attains its coset's best
@@ -225,31 +228,26 @@ def _nibbles(syndromes: np.ndarray) -> np.ndarray:
     return nibs
 
 
-# indexed 16 v + (survivor flags of class v, survivor q in bit q): bits 0-3 the
-# position 4 v + q of the first flagged survivor, bit 4 set if several are flagged
-_SURVIVOR_BITS = np.array([4 * v + ((m & -m).bit_length() - 1 if m else 0) + 16 * (bin(m).count("1") > 1)
-                           for v in range(4) for m in range(16)], dtype=np.uint16)
 _CLASS_BITS = np.arange(0, 64, 16, dtype=np.uint8)[:, None]
+_FLAG_SHIFTS = np.arange(4, dtype=np.uint8)[:, None]  # survivor flag w in bit w
 _TIE = np.uint16(1 << 10)  # tie flag of a decision word, the bit above its 10-bit branch
 
 
-def _choices(flags: np.ndarray, keys: np.ndarray, words: np.ndarray) -> None:
+def _choices(tab: _TrellisTables, flags: np.ndarray, keys: np.ndarray, words: np.ndarray) -> None:
     """Deterministic decision word of each successor class, written into
     ``words`` (4, n, B), from a chunk's class-major survivor and class flags
     (2, 4, 4, n*B) and coset keys (4, 4, n*B) [w, v, j].
 
     Among tied classes the winner is the one whose coset's smallest best
-    triple is smallest; within it, the first tied survivor.  A successor's
-    word carries _TIE unless one class, one survivor and one triple attain
-    its best.  Cosets are disjoint, so a key's triple alone decides the
-    least key, and the winning class's survivor bits ride along below it.
+    triple is smallest; within it, the tied survivor of least rank.  A
+    successor's word carries _TIE unless one class, one survivor and one
+    triple attain its best.  Cosets are disjoint, so a key's triple alone
+    decides the least key, and the winning class's survivor bits ride along
+    below it.
     """
-    survivors, classes = flags.view(np.uint8)  # [v, q, j] and [w, v, j]
-    mask = survivors[:, 0] | survivors[:, 1] << 1
-    mask |= survivors[:, 2] << 2
-    mask |= survivors[:, 3] << 3
-    mask |= _CLASS_BITS
-    keys |= _SURVIVOR_BITS.take(mask)
+    survivors, classes = flags.view(np.uint8)  # [v, w, j] and [w, v, j]
+    mask = np.bitwise_or.reduce(survivors << _FLAG_SHIFTS, axis=1)  # [v, j]
+    keys |= tab.survivor_pick.take(mask | _CLASS_BITS)
     np.copyto(keys, np.uint16(0xFFFF), where=~flags[1])
     least = np.minimum.reduce(keys, axis=1).reshape(words.shape)
     several = np.add.reduce(classes, axis=1, dtype=np.uint8).reshape(words.shape) > 1
@@ -262,20 +260,24 @@ def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags
     """Random-mode decision word (n, B, 16) of each successor position: its
     state's best slot with the largest of its trial's ``random((n, 16, 64))``
     draw from ``rngs``, whose axes are stages, states and slots in tie order,
-    plus _TIE if several slots are best.  ``flags`` is class-major, flag X of
-    (stage, trial) j at X * (n*B) + j: survivor position 4v + q at X = 4v + q,
-    class v of successor class w at X = 16 + 4w + v.
+    plus _TIE if several slots are best.  ``flags`` holds flag X of (stage,
+    trial) j at [X, j]: survivor position 4v + w at X = 4v + w, class v of
+    successor class w at X = 16 + 4w + v.
 
     A state's 64 slots are exactly its (class, survivor, triple) combinations,
     so several best slots is the rule of :func:`_choices`: tied unless one
     class, one survivor and one triple attain the best.
     """
     n, B = nibs.shape
-    branch, flat = tab.slot_branch[nibs], flags.ravel()  # branch: (n, B, 16, 64)
-    at = np.arange(n * B).reshape(n, B, 1, 1)
-    best = flat.take(at + n * B * (branch >> 6).astype(np.intp))
-    best &= flat.take(at + n * B * (tab.state_class + (branch >> 8)))
-    best &= seg.hit.ravel().take(64 * np.arange(n).reshape(n, 1, 1, 1) + (branch & 63))
+    branch, flat = tab.slot_branch[nibs], flags.reshape(32, -1).T.ravel()  # branch: (n, B, 16, 64)
+    at = 32 * np.arange(n * B).reshape(n, B, 1, 1)
+    index = np.add(branch >> 6, at, dtype=np.intp)  # one index buffer, rebuilt in place per take
+    best = flat.take(index)
+    np.add(branch >> 8, at + tab.state_class, out=index)
+    best &= flat.take(index)
+    np.add(branch & 63, 64 * np.arange(n).reshape(n, 1, 1, 1), out=index)
+    best &= seg.hit.ravel().take(index)
+    del index  # freed before the draws allocate
     pick = np.where(best, np.stack([g.random((n, 16, 64)) for g in rngs], axis=1), -1.0).argmax(axis=3)
     words = np.take_along_axis(branch, pick[..., None], axis=3)[..., 0]
     words |= (best.sum(axis=3, dtype=np.uint8) > 1) * _TIE  # at most 64 best slots
@@ -303,21 +305,21 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
     keeps the transient peak below that of per-chunk temporaries.
 
     The sequential loop carries only x [w, i, b], the best sum of each
-    successor class after a stage.  Each row of succ_w is a permutation, so
-    the class maxima entering the next stage are
-    group[v] = max(DEAD, max_w P[v, w] + x[w]), P the pair metrics by class
-    and successor class.  With C the coset maxima [w, v] of that stage's
-    nibble, x' = max_v C[w, v] + group[v] is the max-plus x' = max(K, M x),
-    M = C P and K = max_v C + DEAD, exactly: no term falls below -9 * 2^59,
-    so int64 holds every sum.  Up to _TABLE_TRIALS trials a stage is two
-    numpy calls on per-(stage, trial) [M | K] tables; larger batches go
-    through P and C with maxima over (4, 4, B) slabs instead of building
-    a 4x4x4 product per trial.  After the loop one vectorised pass per
-    chunk rebuilds the entering metrics [v, q, i, b] and the flags
-    (2, 4, 4, n*B), which survivors attain their class maximum and which
-    classes v attain the best sum of each successor class w, that the
-    choice pass reads.  With ``rngs``, Generators, back is (N, 16, B) by
-    successor position, the decision words of :func:`_random_choices`.
+    successor class after a stage.  Position 4v + w enters the next stage
+    with x[w] + P[v, w], P the pair metrics at positions, so the class
+    maxima there are group[v] = max(DEAD, max_w P[v, w] + x[w]).  With C
+    the coset maxima [w, v] of that stage's nibble, x' = max_v C[w, v] +
+    group[v] is the max-plus x' = max(K, M x), M = C P and K = max_v C +
+    DEAD, exactly: no term falls below -9 * 2^59, so int64 holds every sum.
+    Up to _TABLE_TRIALS trials a stage is two numpy calls on per-(stage,
+    trial) [M | K] tables; larger batches go through P and C with maxima
+    over (4, 4, B) slabs instead of building a 4x4x4 product per trial.
+    After the loop one vectorised pass per chunk rebuilds the entering
+    metrics [v, w, i, b] and the flags (2, 4, 4, n*B), which survivors
+    attain their class maximum and which classes v attain the best sum of
+    each successor class w, that the choice pass reads.  With ``rngs``,
+    Generators, back is (N, 16, B) by successor position, the decision
+    words of :func:`_random_choices`.
     ``live``, a list, receives the live positions per stage (B = 1).
     """
     nibs = _nibbles(syndromes)
@@ -349,7 +351,6 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         np.maximum.reduce(entering[:, :, 0], axis=1, out=group[:, 0])
         cosets[:, :, 0] += group[:, 0]
         np.maximum.reduce(cosets[:, :, 0], axis=1, out=x[:, 0])
-        pairs = seg.pairs[:, np.arange(4)[:, None], tab.succ_rank]  # (n+1, 4, 4) P [v, w]
         if B <= _TABLE_TRIALS:
             # rows[i] holds the best sum of each successor class after stage i, then a 0
             rows = np.zeros((n, B, 1, 5), dtype=np.int64)
@@ -357,7 +358,7 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
             table = np.empty((n - 1, B, 4, 5), dtype=np.int64)
             # [v, i, b, w, w'] = C[w, v] + P[v, w'], maximised over v
             products = cosets[:, :, 1:].transpose(1, 2, 3, 0)[..., None]
-            products = products + pairs[1:n, :, None, None].swapaxes(0, 1)
+            products = products + seg.pairs[1:n, :, None, None].swapaxes(0, 1)
             np.maximum.reduce(products, axis=0, out=table[..., :4])
             np.maximum.reduce(cosets[:, :, 1:], axis=1, out=table[..., 4].transpose(2, 0, 1))
             table[..., 4] += DEAD_METRIC
@@ -369,14 +370,12 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         elif n > 1:
             sums, to_class = np.empty((4, 4, B), dtype=np.int64), np.empty((4, B), dtype=np.int64)
             for i in range(1, n):
-                np.add(pairs[i][:, :, None], x[:, i - 1], out=sums)  # [v, w, b]
+                np.add(seg.pairs[i][:, :, None], x[:, i - 1], out=sums)  # [v, w, b]
                 np.maximum.reduce(sums, axis=1, out=to_class)
                 np.maximum(to_class, DEAD_METRIC, out=to_class)
                 np.add(cosets[:, :, i], to_class, out=sums)  # [w, v, b]
                 np.maximum.reduce(sums, axis=1, out=x[:, i])
-        pair_rows = seg.pairs[1:].reshape(n, 16).T  # [position, i]
-        for v in range(4):
-            np.add(x[tab.succ_w[v]], pair_rows[4 * v:4 * v + 4, :, None], out=entering[v, :, 1:])
+        np.add(x, seg.pairs[1:].transpose(1, 2, 0)[..., None], out=entering[:, :, 1:])
         np.maximum(entering[:, :, 1:], DEAD_METRIC, out=entering[:, :, 1:])
         if live is not None:
             live.extend(np.flatnonzero(row > DEAD_METRIC) for row in entering[:, :, 1:, 0].reshape(16, n).T)
@@ -386,16 +385,16 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         cosets[:, :, 1:] += group[:, 1:]
         np.equal(cosets, x[:, None], out=flags[1].reshape(4, 4, n, B))
         if rngs is None:
-            _choices(flags, keys, back[lo:lo + n].swapaxes(0, 1))
+            _choices(tab, flags, keys, back[lo:lo + n].swapaxes(0, 1))
         else:
             back[lo:lo + n] = _random_choices(tab, seg, nibs[lo:lo + n], flags, rngs).swapaxes(1, 2)
         entering[:, :, 0] = entering[:, :, n]
     return entering_buf[:, :, 0].reshape(16, B).T.copy(), back
 
 
-def _traceback(tab: _TrellisTables, back, cols, k):
+def _traceback(tab: _TrellisTables, back, k):
     """Codes (B, n) of the survivors at positions ``k``, and whether any stage
-    on their paths was tied.  Position r took decision word back[i, cols[r]]
+    on their paths was tied.  Position r took decision word back[i, r % width]
     at stage i: its predecessor position is (word >> 6) & 15 and its tie
     flag _TIE.  The pointer chase is sequential: one trial chases Python
     ints, which costs less than one numpy call per stage; a batch chases all
@@ -408,14 +407,14 @@ def _traceback(tab: _TrellisTables, back, cols, k):
     positions[N] = k
     if B == 1:
         flat = back.ravel().tolist()
-        chain, col, at = [], cols.tolist(), int(k[0])
+        chain, at = [], int(k[0])
         for base in range(width * (N - 1), -1, -width):
-            chain.append(flat[base + col[at]])
+            chain.append(flat[base + at % width])
             at = chain[-1] >> 6 & 15
         steps[:, 0] = chain[::-1]
     else:
         for i in reversed(range(N)):
-            steps[i] = back[i, cols[k], rows]
+            steps[i] = back[i, k % width, rows]
             k = (steps[i] >> 6) & 15
     positions[:N] = (steps >> 6) & 15
     states = tab.order[positions]
@@ -441,7 +440,7 @@ def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=Non
         k = tab.end_order[ordered.argmax(axis=1)]
     else:
         k = np.array([g.choice(tab.end_order[row == row.max()]) for g, row in zip(rngs, ordered)])
-    codes, path_tie = _traceback(tab, back, tab.succ_w.ravel() if rngs is None else _ROWS16, k)
+    codes, path_tie = _traceback(tab, back, k)
     return codes, path_tie | ((final == best[:, None]).sum(axis=1) > 1), best > DEAD_METRIC
 
 
@@ -624,6 +623,8 @@ def initial_live_count(code: ConvolutionalCode, schedule: ChannelSchedule, bit: 
     """Boundary-pair candidates consistent with the first syndrome bit and
     having positive probability."""
     _check_schedule(code, schedule)
+    if bit not in (0, 1):
+        raise ValueError(f"syndrome bit must be 0 or 1, got {bit!r}")
     tab = _tables()
     pairs, _ = _segment_metrics(metric_table(schedule))
     return int(((tab.start_bit == bit) & (pairs[0, tab.order] > DEAD_METRIC)).sum())
@@ -647,12 +648,11 @@ def transition_live_count(
     nib = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
     tab = _tables()
     pairs, triples = _segment_metrics(metric_table(schedule))
-    # a window is live iff its predecessor pair, triple and successor pair are
-    preds = (pairs[stage, tab.order] > DEAD_METRIC).reshape(4, 4).sum(axis=1)
+    # a window is live iff its predecessor pair [v, w], triple and successor pair are
+    live = (pairs[stage:stage + 2, tab.order] > DEAD_METRIC).reshape(2, 4, 4)
     cosets = (triples[stage, tab.members] > DEAD_METRIC).sum(axis=1)
-    # live (predecessor, triple) pairs per successor class w, through coset nib ^ (4w + v)
-    per_class = cosets[(nib ^ _ROWS16).reshape(4, 4)] @ preds
-    return int(per_class[tab.succ_w][pairs[stage + 1, tab.order].reshape(4, 4) > DEAD_METRIC].sum())
+    # class v meets successor class w through coset nib ^ (4w + v)
+    return int(live[1].sum(axis=0) @ cosets[(nib ^ _ROWS16).reshape(4, 4)] @ live[0].sum(axis=1))
 
 
 def survivor_merge_lag(
@@ -669,12 +669,11 @@ def survivor_merge_lag(
     syndromes = _check_inputs(code, schedule, syn)
     tab, live = _tables(), []
     _, back = _sweep(tab, metric_table(schedule), syndromes, live=live)
-    preds = (back[:, tab.succ_w.ravel(), 0] >> 6) & 15
+    preds = (np.tile(back[:, :, 0], 4) >> 6) & 15  # [stage, position], position 4v + w
 
     lags = []
     for s in range(1, code.blocks + 1):
-        states = {int(k) for k in live[s - 1]}
-        cur = s
+        states, cur = {int(k) for k in live[s - 1]}, s
         while len(states) > 1 and cur > 0:
             states = {int(preds[cur - 1][k]) for k in states}
             cur -= 1

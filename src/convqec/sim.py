@@ -28,23 +28,24 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSchedule, _check_seed, depolarizing, make_rng, sample_error_codes
-from .code import ConvolutionalCode, build_code, logical_action, syndrome_of
+from .code import ConvolutionalCode, _check_count, build_code, logical_action, syndrome_of
 from .decoder import brute_force_table, codes_of_index, decode_batch
 from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
 
 
-def wilson_interval(successes: int, trials: int, z: float = WILSON_Z) -> tuple[float, float]:
-    """Wilson score interval; well behaved at zero and full counts."""
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    """Wilson score 95% interval; well behaved at zero and full counts."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes must be in 0..trials, got {successes} of {trials}")
     phat = successes / trials
-    denom = 1.0 + z * z / trials
-    center = (phat + z * z / (2 * trials)) / denom
-    half = z * float(np.sqrt(phat * (1 - phat) / trials + z * z / (4 * trials * trials))) / denom
+    denom = 1.0 + WILSON_Z * WILSON_Z / trials
+    center = (phat + WILSON_Z * WILSON_Z / (2 * trials)) / denom
+    spread = phat * (1 - phat) / trials + WILSON_Z * WILSON_Z / (4 * trials * trials)
+    half = WILSON_Z * float(np.sqrt(spread)) / denom
     lo = 0.0 if successes == 0 else max(0.0, center - half)
     hi = 1.0 if successes == trials else min(1.0, center + half)
     return lo, hi
@@ -87,15 +88,6 @@ def syndrome_bits_batch(code: ConvolutionalCode, code_mat: np.ndarray) -> np.nda
     """(trials, 4N+2) syndrome bits of a (trials, n) matrix of codes in 0..3;
     any other shape or value raises ValueError."""
     return commutation_bits(code_mat, code.generator_table)
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a count that is not an integer or is below 1: ``True`` would
-    run once and be reported as True, and a float would fail inside numpy."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
 
 
 def _check_run(trials: int, tie_mode: str, master_seed: int) -> None:
@@ -174,6 +166,7 @@ def collect_trials(
     :func:`run_trials`.  ``decoder`` is "viterbi" or "brute" (the latter
     decodes via the exhaustive table, for interchangeability checks)."""
     _check_seed(master_seed)
+    _check_count("trials", trials)
     if decoder not in ("viterbi", "brute"):
         raise ValueError(f"unknown decoder {decoder!r}")
     rng = make_rng(np.random.SeedSequence(master_seed))
@@ -227,8 +220,7 @@ def sweep(
     """
     _check_run(trials, tie_mode, master_seed)
     for blocks in blocks_list:
-        if blocks < 1:
-            raise ValueError(f"block count must be >= 1, got {blocks}")
+        _check_count("block count", blocks)
     for p in ps:
         depolarizing(1, p)  # raises for p outside [0, 1]
     tasks = []

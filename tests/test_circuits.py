@@ -35,6 +35,16 @@ def test_six_layers(blocks):
     assert len(build_decoding_circuit(blocks).layers) == 6
 
 
+@pytest.mark.parametrize("blocks, match", [
+    (True, "block count must be an integer, got True"),
+    (2.0, "block count must be an integer, got 2.0"),
+    (0, "block count must be >= 1, got 0"),
+])
+def test_encoding_circuit_rejects_bad_block_counts_by_name(blocks, match):
+    with pytest.raises(ValueError, match=match):
+        build_encoding_circuit(blocks)
+
+
 def test_gate_count_is_linear_in_blocks():
     counts = [build_encoding_circuit(b).gate_count() for b in range(1, 6)]
     steps = {b - a for a, b in zip(counts, counts[1:])}

@@ -32,6 +32,30 @@ def test_build_code_single_block_logicals():
     assert code.info_positions == (6,)
 
 
+@pytest.mark.parametrize("blocks, match", [
+    (True, "block count must be an integer, got True"),
+    (1.0, "block count must be an integer, got 1.0"),
+    ("2", "block count must be an integer, got '2'"),
+    (0, "block count must be >= 1, got 0"),
+])
+def test_build_code_rejects_bad_block_counts_by_name(blocks, match):
+    with pytest.raises(ValueError, match=match):
+        build_code(blocks)
+
+
+def test_build_code_accepts_numpy_integer_block_count():
+    assert build_code(np.int64(2)).n == build_code(2).n == 12
+
+
+def test_deprecation_warnings_fail_the_suite():
+    """pyproject.toml turns DeprecationWarning into an error, so a numpy
+    deprecation anywhere in the supported range fails the tests."""
+    import warnings
+
+    with pytest.raises(DeprecationWarning):
+        warnings.warn("deprecated", DeprecationWarning)
+
+
 def test_build_code_counts():
     code = build_code(3)
     assert (len(code.generators), code.n, len(code.logical_x)) == (14, 17, 3)

@@ -159,6 +159,19 @@ def test_initial_live_count_is_eight():
     assert initial_live_count(code, schedule, 1) == 8
 
 
+def test_initial_live_count_rejects_non_bit_before_any_metric(monkeypatch):
+    import convqec.decoder
+
+    def no_metrics(schedule):
+        raise AssertionError("built the metric table before checking the bit")
+
+    monkeypatch.setattr(convqec.decoder, "metric_table", no_metrics)
+    code = build_code(1)
+    for bit in (2, -1):
+        with pytest.raises(ValueError, match=f"syndrome bit must be 0 or 1, got {bit}"):
+            initial_live_count(code, depolarizing(7, 0.1), bit)
+
+
 def test_transition_live_count_uniform_1024():
     code = build_code(3)
     schedule = depolarizing(code.n, 0.1)

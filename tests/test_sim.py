@@ -250,6 +250,44 @@ def test_wilson_interval_rejects_successes_outside_trials():
             wilson_interval(successes, trials)
 
 
+def test_wilson_interval_has_no_z_option():
+    # a caller's z once gave wilson_interval(3, 10, z=-1) == (0.458, 0.179), lower above upper
+    with pytest.raises(TypeError):
+        wilson_interval(3, 10, z=-1)
+
+
+@pytest.mark.parametrize("trials, match", [
+    (0, "trials must be >= 1, got 0"),
+    (True, "trials must be an integer, got True"),
+    (2.5, "trials must be an integer, got 2.5"),
+])
+def test_collect_trials_checks_trials_before_sampling(monkeypatch, trials, match):
+    import convqec.sim
+
+    def no_sampling(*args):
+        raise AssertionError("sampled before checking trials")
+
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", no_sampling)
+    code = build_code(1)
+    with pytest.raises(ValueError, match=match):
+        collect_trials(code, depolarizing(code.n, 0.05), trials, master_seed=1)
+
+
+@pytest.mark.parametrize("blocks, match", [
+    (True, "block count must be an integer, got True"),
+    (1.0, "block count must be an integer, got 1.0"),
+])
+def test_sweep_checks_block_counts_by_name_before_any_row(monkeypatch, blocks, match):
+    import convqec.sim
+
+    def no_rows(task):
+        raise AssertionError("ran a sweep row before checking the block counts")
+
+    monkeypatch.setattr(convqec.sim, "_run_sweep_row", no_rows)
+    with pytest.raises(ValueError, match=match):
+        sweep([1, blocks], [0.1], 10, master_seed=1)
+
+
 def test_wilson_interval_contains_rate():
     for k, n in [(0, 10), (10, 10), (3, 17), (250, 100000), (1, 3)]:
         lo, hi = wilson_interval(k, n)
