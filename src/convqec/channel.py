@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .pauli import Pauli, code_rows, pauli_from_codes
+from .pauli import Pauli, as_code_matrix, code_rows, pauli_from_codes
 
 # Column order of the public quadruples.
 QUAD_ORDER = "IXYZ"
@@ -28,27 +28,46 @@ QUAD_ORDER = "IXYZ"
 _CODE_TO_QUAD = (0, 3, 1, 2)
 _PROB_TOLERANCE = 1e-12
 
+# Decoder metrics are log-probabilities in fixed point, scaled by 2^30.
+METRIC_SCALE_BITS = 30
+# Dead-branch sentinel: far below any real path metric (worst case is about
+# -745 * 2^30 per qubit), yet small enough that a stage's unclamped sum of a
+# survivor metric and five per-qubit terms cannot overflow int64 even if
+# every term is dead.
+DEAD_METRIC = np.int64(-(2 ** 59))
 
-@dataclass(eq=False)
+
+@dataclass(frozen=True, eq=False)
 class ChannelSchedule:
-    """Per-qubit Pauli error probabilities; treat as immutable after creation."""
+    """Per-qubit Pauli error probabilities, an immutable value: the constructor checks
+    them and builds both per-code tables once; pickled and copied schedules rebuild."""
 
     probs: np.ndarray  # shape (n, 4), columns (p_I, p_X, p_Y, p_Z)
-    _log_by_code: np.ndarray | None = field(default=None, repr=False)
+    _log_by_code: np.ndarray = field(init=False, repr=False)
+    _metric_by_code: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2 or self.probs.shape[1] != 4 or self.probs.shape[0] < 1:
-            raise ValueError(f"probs must have shape (n, 4), got {self.probs.shape}")
-        if not np.isfinite(self.probs).all():  # NaN passes both checks below
+        probs = np.array(self.probs, dtype=np.float64)  # a copy: no caller's view can change it
+        if probs.ndim != 2 or probs.shape[1] != 4 or probs.shape[0] < 1:
+            raise ValueError(f"probs must have shape (n, 4), got {probs.shape}")
+        if not np.isfinite(probs).all():  # NaN passes both checks below
             raise ValueError("probabilities must be finite")
-        if (self.probs < 0).any():
+        if (probs < 0).any():
             raise ValueError("probabilities must be nonnegative")
-        sums = self.probs.sum(axis=1)
+        sums = probs.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > _PROB_TOLERANCE)
         if bad.size:
             raise ValueError(f"probabilities at qubit {bad[0] + 1} sum to {sums[bad[0]]!r}")
-        self.probs.setflags(write=False)
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs[:, _CODE_TO_QUAD])
+        scaled = np.round(logp * float(1 << METRIC_SCALE_BITS))
+        metric = np.where(np.isfinite(logp), scaled, float(DEAD_METRIC)).astype(np.int64)
+        for name, table in (("probs", probs), ("_log_by_code", logp), ("_metric_by_code", metric)):
+            table.setflags(write=False)
+            object.__setattr__(self, name, table)
+
+    def __reduce__(self):
+        return ChannelSchedule, (self.probs,)
 
     @property
     def n(self) -> int:
@@ -56,12 +75,12 @@ class ChannelSchedule:
 
     def log_prob_by_code(self) -> np.ndarray:
         """(n, 4) log-probabilities indexed by per-qubit code (I,Z,X,Y order)."""
-        if self._log_by_code is None:
-            with np.errstate(divide="ignore"):
-                table = np.log(self.probs[:, _CODE_TO_QUAD])
-            table.setflags(write=False)
-            self._log_by_code = table
         return self._log_by_code
+
+
+def metric_table(schedule: ChannelSchedule) -> np.ndarray:
+    """(n, 4) int64 fixed-point log-probabilities by per-qubit code, shared by decoder and oracle."""
+    return schedule._metric_by_code
 
 
 def depolarizing(n: int, p: float) -> ChannelSchedule:
@@ -78,9 +97,9 @@ def schedule_from_probs(rows) -> ChannelSchedule:
 
 
 def _check_seed(seed) -> None:
-    """Reject a negative integer seed by name; numpy's own error for it,
-    "expected non-negative integer", names neither the seed nor its value."""
-    if isinstance(seed, (int, np.integer)) and seed < 0:
+    """Reject by name a seed that is not a non-negative integer: numpy would run ``True``
+    as seed 1, and its errors for -1 or 1.5 name neither the seed nor its value."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
@@ -89,7 +108,8 @@ def make_rng(seed) -> np.random.Generator:
     on every platform.  Accepts an int, SeedSequence, or existing Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
-    _check_seed(seed)
+    if not isinstance(seed, np.random.SeedSequence):
+        _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
 
 
@@ -133,6 +153,7 @@ def log_likelihoods(schedule: ChannelSchedule, codes: np.ndarray) -> np.ndarray:
     """(B,) log-likelihoods of the rows of a (B, n) code matrix, each added left
     to right by np.add.accumulate (np.sum adds pairwise and changes the last
     bits), a bounded chunk of rows at a time."""
+    codes = as_code_matrix(codes, schedule.n)
     table, qubits = schedule.log_prob_by_code(), np.arange(schedule.n)
     out = np.empty(len(codes))
     step = max(1, (1 << 16) // schedule.n)  # rows per chunk

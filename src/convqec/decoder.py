@@ -83,46 +83,23 @@ matching the behavior the construction allows while keeping runs reproducible.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .channel import ChannelSchedule, log_likelihoods, make_rng
+# the metric constants live with the schedule's metric table; both stay importable from here
+from .channel import DEAD_METRIC, METRIC_SCALE_BITS, ChannelSchedule, log_likelihoods, make_rng, metric_table
 from .code import ConvolutionalCode, Syndrome, build_code
 from .pauli import Pauli, commutation_bits, pauli_from_codes
 
 MAX_BRUTE_FORCE_QUBITS = 12
 
-METRIC_SCALE_BITS = 30
-# Dead-branch sentinel: far below any real path metric (worst case is about
-# -745 * 2^30 per qubit), yet small enough that a stage's unclamped sum of a
-# survivor metric and five per-qubit terms cannot overflow int64 even if
-# every term is dead.
-DEAD_METRIC = np.int64(-(2 ** 59))
-
 _ROWS16 = np.arange(16)
-
-_METRIC_CACHE: "weakref.WeakKeyDictionary[ChannelSchedule, np.ndarray]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 class InfeasibleSyndromeError(ValueError):
     """No error with positive probability matches the requested syndrome."""
-
-
-def metric_table(schedule: ChannelSchedule) -> np.ndarray:
-    """(n, 4) int64 fixed-point log-probabilities indexed by per-qubit code."""
-    cached = _METRIC_CACHE.get(schedule)
-    if cached is None:
-        logp = schedule.log_prob_by_code()
-        scaled = np.round(logp * float(1 << METRIC_SCALE_BITS))
-        cached = np.where(np.isfinite(logp), scaled, float(DEAD_METRIC)).astype(np.int64)
-        cached.setflags(write=False)
-        _METRIC_CACHE[schedule] = cached
-    return cached
 
 
 @dataclass(frozen=True)

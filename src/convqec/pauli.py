@@ -108,7 +108,7 @@ def pauli_from_string(s: str) -> Pauli:
 
 def _are_codes(codes: np.ndarray) -> bool:
     """True iff every entry is an integer code in 0..3: a float would be truncated."""
-    return codes.size == 0 or codes.dtype.kind in "biu" and not ((codes < 0) | (codes > 3)).any()
+    return codes.size == 0 or codes.dtype.kind in "biu" and codes.min() >= 0 and codes.max() <= 3
 
 
 def pauli_from_codes(codes) -> Pauli:

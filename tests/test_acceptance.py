@@ -132,7 +132,7 @@ def test_acceptance_4_linear_complexity():
         code = build_code(blocks)
         schedule = depolarizing(code.n, 0.02)
         syn = syndrome_of(code, sample_error(schedule, make_rng(31)))
-        result = viterbi_decode(code, schedule, syn)  # also caches the metric table
+        result = viterbi_decode(code, schedule, syn)
         assert syndrome_of(code, result.error).bits == syn.bits
         cases[blocks] = (code, schedule, syn)
     # The lengths take turns over many rounds and the medians are compared, so

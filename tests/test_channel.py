@@ -1,8 +1,11 @@
 """Tests for Pauli channel schedules, likelihoods, and sampling."""
 
+import copy
+import dataclasses
 import hashlib
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,7 +23,10 @@ from convqec.channel import (
     sample_error_codes,
     schedule_from_probs,
 )
+from convqec.code import build_code
+from convqec.decoder import decode_batch, metric_table
 from convqec.pauli import identity, pauli_from_codes, pauli_from_string, weight
+from convqec.sim import syndrome_bits_batch
 
 
 def test_depolarizing_rows():
@@ -215,6 +221,65 @@ def test_probs_are_read_only():
     s = depolarizing(3, 0.1)
     with pytest.raises(ValueError):
         s.probs[0, 0] = 0.5
+
+
+def test_schedule_takes_only_probs_and_is_frozen():
+    s = depolarizing(12, 0.3)
+    with pytest.raises(TypeError):
+        ChannelSchedule(s.probs, np.zeros((12, 4)))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.probs = depolarizing(12, 0.1).probs
+    x = pauli_from_string("X" * 12)
+    assert log_likelihood(s, x) == log_likelihood(depolarizing(12, 0.3), x) == pytest.approx(12 * math.log(0.1))
+
+
+def test_schedule_copies_its_input():
+    """A view of the caller's array made before construction cannot reach
+    the schedule's probabilities."""
+    probs = np.tile([0.7, 0.1, 0.1, 0.1], (5, 1))
+    view = probs[:]
+    s = ChannelSchedule(probs)
+    view[0] = [0.0, 1.0, 0.0, 0.0]
+    assert (s.probs[0] == [0.7, 0.1, 0.1, 0.1]).all()
+
+
+COPIES = {
+    "pickle": lambda s: pickle.loads(pickle.dumps(s)),
+    "deepcopy": copy.deepcopy,
+    "copy": copy.copy,
+    "replace": dataclasses.replace,
+}
+
+
+def test_schedule_copies_are_rebuilt_read_only():
+    s = depolarizing(7, 0.1)
+    for how, make_copy in COPIES.items():
+        twin = make_copy(s)
+        for table in (twin.probs, twin.log_prob_by_code(), metric_table(twin)):
+            assert not table.flags.writeable, how
+        assert (twin.probs == s.probs).all() and (metric_table(twin) == metric_table(s)).all()
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_schedule_copies_decode_bit_identically(how):
+    code = build_code(4)
+    rng = np.random.default_rng(29)
+    s = schedule_from_probs(rng.dirichlet(np.ones(4), size=code.n))
+    twin = COPIES[how](s)
+    syndromes = syndrome_bits_batch(code, sample_error_codes(s, make_rng(6), 200))
+    for rngs in (None, range(200)):
+        a, b = (decode_batch(code, sched, syndromes, rngs=rngs) for sched in (s, twin))
+        assert (a.codes == b.codes).all() and (a.tie_broken == b.tie_broken).all()
+        assert a.log_likelihood.tobytes() == b.log_likelihood.tobytes()
+
+
+def test_log_likelihoods_rejects_bad_codes():
+    """A code outside 0..3 or a row of the wrong width is named, not read
+    from another column (-1 would read Y's) or raised as an IndexError."""
+    s = depolarizing(12, 0.1)
+    for codes in (np.full((1, 12), -1), np.full((1, 12), 4), np.zeros((1, 11), dtype=np.uint8)):
+        with pytest.raises(ValueError, match=r"\(rows, 12\) matrix of integer codes in 0..3"):
+            log_likelihoods(s, codes)
 
 
 def sampler_rows(rng):

@@ -233,7 +233,7 @@ def test_decode_batch_state_bytes_bounded():
         schedule = depolarizing(code.n, 0.02)
         codes = sample_error_codes(schedule, make_rng(3), trials)
         syndromes = syndrome_bits_batch(code, codes).astype(np.uint8)
-        decode_batch(code, schedule, syndromes[:1])  # caches the metric table
+        decode_batch(code, schedule, syndromes[:1])  # warm-up call, outside the trace
         tracemalloc.start()
         decode_batch(code, schedule, syndromes)
         peaks.append(tracemalloc.get_traced_memory()[1])
@@ -607,7 +607,7 @@ def test_decode_batch_transient_peak_bounded():
     code = build_code(10)
     schedule = depolarizing(code.n, 0.02)
     syndromes = syndrome_bits_batch(code, sample_error_codes(schedule, make_rng(11), 4096)).astype(np.uint8)
-    decode_batch(code, schedule, syndromes[:1])  # caches the metric table
+    decode_batch(code, schedule, syndromes[:1])  # warm-up call, outside the trace
     tracemalloc.start()
     decode_batch(code, schedule, syndromes)
     peak = tracemalloc.get_traced_memory()[1]
@@ -623,7 +623,7 @@ def test_decode_batch_random_ties_transient_peak_bounded():
     code = build_code(10)
     schedule = depolarizing(code.n, 0.02)
     syndromes = syndrome_bits_batch(code, sample_error_codes(schedule, make_rng(11), 4096)).astype(np.uint8)
-    decode_batch(code, schedule, syndromes[:1], rngs=[make_rng(0)])  # caches the metric table
+    decode_batch(code, schedule, syndromes[:1], rngs=[make_rng(0)])  # warm-up call, outside the trace
     rngs = [make_rng(seed) for seed in range(4096)]
     tracemalloc.start()
     decode_batch(code, schedule, syndromes, rngs=rngs)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convqec.channel import depolarizing
+from convqec.channel import depolarizing, make_rng
 from convqec.code import build_code, logical_action, syndrome_of
 from convqec.pauli import (
     code_rows,
@@ -119,7 +119,7 @@ def test_run_trials_random_ties_peak_bounded():
     before decoding measured 148."""
     code = build_code(10)
     schedule = depolarizing(code.n, 0.02)
-    run_trials(code, schedule, 1, master_seed=3, tie_mode="random")  # caches the metric table
+    run_trials(code, schedule, 1, master_seed=3, tie_mode="random")  # warm-up call, outside the trace
     tracemalloc.start()
     run_trials(code, schedule, 4096, master_seed=3, tie_mode="random")
     peak = tracemalloc.get_traced_memory()[1]
@@ -196,6 +196,30 @@ def test_negative_seed_rejected_before_sampling(monkeypatch):
         collect_trials(code, schedule, 5, master_seed=-2)
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got -4"):
         derive_row_seed(-4, 0)
+
+
+def test_non_integer_seed_rejected_by_name(monkeypatch):
+    """True would run as seed 1 and be written to the seed column as True;
+    1.5 raised numpy's TypeError, which names no seed.  A SeedSequence or a
+    Generator stays a valid rng."""
+    import convqec.sim
+
+    def never(*args):
+        raise AssertionError("sampled or ran a sweep row before checking the seed")
+
+    code = build_code(1)
+    schedule = depolarizing(code.n, 0.05)
+    rng = make_rng(np.random.SeedSequence(5))
+    assert make_rng(rng) is rng and rng.random() == make_rng(np.random.SeedSequence(5)).random()
+    monkeypatch.setattr(convqec.sim, "sample_error_codes", never)
+    monkeypatch.setattr(convqec.sim, "_run_sweep_row", never)
+    for seed in (True, np.True_, 1.5, "3", None):
+        calls = [lambda: run_trials(code, schedule, 10, seed), lambda: collect_trials(code, schedule, 5, seed),
+                 lambda: sweep([1], [0.05], trials=20, master_seed=seed), lambda: derive_row_seed(seed, 0),
+                 lambda: make_rng(seed)]
+        for call in calls:
+            with pytest.raises(ValueError, match=f"seed must be a non-negative integer, got {seed}"):
+                call()
 
 
 @pytest.mark.parametrize("grid, kwargs, match", [
