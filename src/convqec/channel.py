@@ -119,6 +119,8 @@ def sample_error_codes(schedule: ChannelSchedule, rng, count: int) -> np.ndarray
     Per qubit, one uniform draw is bucketed against the cumulative
     (p_I, p_X, p_Y, p_Z) thresholds, in that documented order.
     """
+    if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # numpy's TypeError names neither
+        raise ValueError(f"count must be a non-negative integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = make_rng(rng)

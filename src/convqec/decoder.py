@@ -43,7 +43,9 @@ branch and its tie flag in one.  Both passes work class-major: the class
 axes of length 4 come first and a chunk's (stage, trial) pairs last, so a
 maximum, comparison or gather over classes is one numpy call on contiguous
 slabs of n*B elements, not an inner loop of 4 elements per (stage, trial),
-which is what bounded the batched Monte Carlo path.
+which is what bounded the batched Monte Carlo path.  A deterministic
+:func:`decode_batch` sweeps each distinct syndrome row once and copies its
+answer to the repeats, and its result computes log-likelihoods on first read.
 
 Metric arithmetic.  Path metrics are per-qubit log-probabilities quantized
 to integer multiples of 2^-30 and summed in int64.  Integer addition is
@@ -84,7 +86,7 @@ matching the behavior the construction allows while keeping runs reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -403,6 +405,36 @@ def _traceback(tab: _TrellisTables, back, k):
     return codes, (steps >= _TIE).any(axis=0)
 
 
+def _distinct_rows(syndromes: np.ndarray):
+    """(first, inverse) of a (B, m) 0/1 matrix: the first row of each distinct
+    row, and the index of each row among them.  Eight stage-major rows of the
+    transpose are OR-ed into bytes (np.packbits on the F-ordered matrix that
+    commutation_bits returns ran 2-7x slower), and np.unique compares each
+    trial's bytes as one opaque value.  The keys die on return, before any
+    sweep allocates: alive, they would add half a byte per block-trial."""
+    bits, shifts = syndromes.T, np.arange(8, dtype=np.uint8)[:, None]
+    whole, B = len(bits) // 8, bits.shape[1]
+    packed = np.zeros((-(-len(bits) // 8), B), dtype=np.uint8)
+    np.bitwise_or.reduce(bits[:8 * whole].reshape(whole, 8, B) << shifts, axis=1, out=packed[:whole])
+    packed[whole:] = np.bitwise_or.reduce(bits[8 * whole:] << shifts[:len(bits) % 8], axis=0)
+    keys = np.ascontiguousarray(packed.T).view(f"V{len(packed)}").ravel()
+    return np.unique(keys, return_index=True, return_inverse=True)[1:]
+
+
+def _decode_distinct(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray):
+    """Deterministic :func:`_decode` that decodes each distinct row once.
+
+    A row decodes to the same answer alone or in any batch, so the distinct
+    rows are decoded and their results scattered back; when every row is
+    distinct, ``syndromes`` is decoded as it is, with no copy.
+    """
+    if len(syndromes) > 1:
+        first, inverse = _distinct_rows(syndromes)
+        if len(first) < len(syndromes):
+            return tuple(part[inverse] for part in _decode(tab, mt, syndromes[first]))
+    return _decode(tab, mt, syndromes)
+
+
 def _decode(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None):
     """Forward pass, final boundary and traceback for a (B, 4N+2) 0/1 matrix.
 
@@ -480,10 +512,16 @@ def viterbi_decode(
 
 @dataclass(frozen=True)
 class BatchDecodeResult:
-    codes: np.ndarray           # (trials, n) per-qubit codes; zero where infeasible
-    log_likelihood: np.ndarray  # (trials,), -inf where infeasible
-    tie_broken: np.ndarray      # (trials,) bool
-    feasible: np.ndarray        # (trials,) bool
+    codes: np.ndarray          # (trials, n) per-qubit codes; zero where infeasible
+    tie_broken: np.ndarray     # (trials,) bool
+    feasible: np.ndarray       # (trials,) bool
+    schedule: ChannelSchedule  # the channel decoded under
+
+    @cached_property
+    def log_likelihood(self) -> np.ndarray:
+        """(trials,) log-likelihood of each decoded error, -inf where infeasible,
+        computed on first read: the Monte Carlo path reads only codes and flags."""
+        return np.where(self.feasible, log_likelihoods(self.schedule, self.codes), -np.inf)
 
 
 def decode_batch(
@@ -493,7 +531,9 @@ def decode_batch(
 
     ``syndromes`` is a (trials, 4N+2) 0/1 matrix.  The per-trial results are
     identical to :func:`viterbi_decode`; trials are independent, so chunking
-    a workload differently cannot change any answer.
+    a workload differently cannot change any answer.  Without ``rngs`` each
+    distinct row is decoded once and its answer copied to the rows that repeat
+    it.  ``log_likelihood`` is computed on its first read, not here.
 
     With ``rngs``, one seed or Generator per trial (anything
     :func:`~convqec.channel.make_rng` accepts), ties are broken uniformly at
@@ -511,15 +551,14 @@ def decode_batch(
 
     tab, mt = _tables(), metric_table(schedule)
     if rngs is None or not len(syndromes):  # no trials, nothing to draw
-        codes, tie_broken, feasible = _decode(tab, mt, syndromes)
+        codes, tie_broken, feasible = _decode_distinct(tab, mt, syndromes)
     else:
         slices = (slice(lo, lo + _RANDOM_CHUNK) for lo in range(0, len(syndromes), _RANDOM_CHUNK))
         decoded = [_decode(tab, mt, syndromes[at], [make_rng(r) for r in rngs[at]]) for at in slices]
         codes, tie_broken, feasible = (np.concatenate(parts) for parts in zip(*decoded))
     codes[~feasible] = 0
-    ll = np.where(feasible, log_likelihoods(schedule, codes), -np.inf)
     tie_broken &= feasible
-    return BatchDecodeResult(codes, ll, tie_broken, feasible)
+    return BatchDecodeResult(codes, tie_broken, feasible, schedule)
 
 
 def _enumerate_errors(code: ConvolutionalCode, schedule: ChannelSchedule):

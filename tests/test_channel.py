@@ -97,6 +97,15 @@ def test_sampling_rejects_negative_count_and_seed():
             sample_error(s, seed)
 
 
+def test_sampling_rejects_non_integer_count_by_name():
+    s = depolarizing(3, 0.1)
+    for count in (True, False, 2.5, 2.0, "2", None):
+        with pytest.raises(ValueError, match=f"count must be a non-negative integer, got {count!r}"):
+            sample_error_codes(s, make_rng(5), count)
+    for count in (0, 2, np.int64(2), np.uint8(3)):
+        assert sample_error_codes(s, make_rng(5), count).shape == (count, 3)
+
+
 def test_sampling_zero_noise():
     s = depolarizing(9, 0.0)
     assert sample_error(s, 1) == identity(9)

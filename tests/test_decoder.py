@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from convqec.channel import (
     depolarizing,
+    log_likelihoods,
     make_rng,
     sample_error,
     sample_error_codes,
@@ -256,6 +258,87 @@ def test_decode_batch_matches_single():
         assert list(single.error.codes()) == list(batch.codes[t])
         assert single.log_likelihood == batch.log_likelihood[t]
         assert single.tie_broken == bool(batch.tie_broken[t])
+
+
+def duplicate_rich_batches():
+    """(code, schedule, matrix) triples whose shuffled rows repeat: tie-rich sampled
+    rows (depolarizing p = 0.08), uniformly random rows that are mostly
+    infeasible on a channel with zero-probability components, and all-zero
+    rows, at N = 2."""
+    rng = np.random.default_rng(16)
+    code = build_code(2)
+    zeros = np.array([[0.5, 0.25, 0.0, 0.25], [0.6, 0.0, 0.4, 0.0], [1.0, 0.0, 0.0, 0.0]])
+    for schedule in (depolarizing(code.n, 0.08), schedule_from_probs(zeros[np.resize([0, 1, 2, 2], code.n)])):
+        sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 40))
+        uniform = rng.random((20, 4 * code.blocks + 2)) < 0.5
+        rows = np.concatenate([sampled, uniform, np.zeros((3, 4 * code.blocks + 2))]).astype(np.uint8)
+        yield code, schedule, rows[rng.permutation(np.repeat(np.arange(len(rows)), 3))]
+
+
+def test_decode_batch_with_repeated_rows_matches_single_decodes():
+    ties = infeasible = 0
+    for code, schedule, mat in duplicate_rich_batches():
+        batch = decode_batch(code, schedule, mat)
+        assert len(np.unique(mat, axis=0)) < len(mat)
+        ties += batch.tie_broken.sum()
+        infeasible += (~batch.feasible).sum()
+        for t, bits in enumerate(mat):
+            alone = decode_batch(code, schedule, mat[t:t + 1])
+            for name in ("codes", "tie_broken", "feasible", "log_likelihood"):
+                assert getattr(alone, name)[0].tobytes() == getattr(batch, name)[t].tobytes()
+            syn = Syndrome(tuple(int(b) for b in bits))
+            if not batch.feasible[t]:
+                with pytest.raises(InfeasibleSyndromeError):
+                    viterbi_decode(code, schedule, syn)
+                continue
+            single = viterbi_decode(code, schedule, syn)
+            assert list(single.error.codes()) == list(batch.codes[t])
+            assert single.log_likelihood == batch.log_likelihood[t]
+            assert single.tie_broken == bool(batch.tie_broken[t])
+    assert ties and infeasible
+
+
+def test_decode_batch_sweeps_each_distinct_row_once(monkeypatch):
+    """Deterministic decoding is a function of the syndrome row, so the
+    sweep sees each distinct row once; a batch of distinct rows reaches it
+    as it is, without a copy."""
+    import convqec.decoder
+
+    seen, decode = [], convqec.decoder._decode
+
+    def recording_decode(tab, mt, rows, *rest):
+        seen.append(rows)
+        return decode(tab, mt, rows, *rest)
+
+    monkeypatch.setattr(convqec.decoder, "_decode", recording_decode)
+    for code, schedule, mat in duplicate_rich_batches():
+        distinct = np.unique(mat, axis=0)
+        seen.clear()
+        decode_batch(code, schedule, mat)
+        assert [len(rows) for rows in seen] == [len(distinct)]
+        seen.clear()
+        decode_batch(code, schedule, distinct)
+        assert len(seen) == 1 and seen[0] is distinct
+
+
+def test_batch_log_likelihood_is_computed_on_read_bit_identically():
+    for code, schedule, mat in duplicate_rich_batches():
+        batch = decode_batch(code, schedule, mat)
+        expected = np.where(batch.feasible, log_likelihoods(schedule, batch.codes), -np.inf)
+        assert batch.log_likelihood.tobytes() == expected.tobytes()
+        assert batch.log_likelihood is batch.log_likelihood  # computed once
+
+
+def test_pickled_batch_result_keeps_its_log_likelihood():
+    for code, schedule, mat in duplicate_rich_batches():
+        expected = decode_batch(code, schedule, mat).log_likelihood.tobytes()
+        unread = decode_batch(code, schedule, mat)
+        read = decode_batch(code, schedule, mat)
+        assert read.log_likelihood.tobytes() == expected
+        for batch in (unread, read):
+            copy = pickle.loads(pickle.dumps(batch))
+            assert copy.log_likelihood.tobytes() == expected
+            assert copy.codes.tobytes() == batch.codes.tobytes()
 
 
 def test_decoded_syndrome_always_matches_input():

@@ -127,6 +127,22 @@ def test_run_trials_random_ties_peak_bounded():
     assert peak / (10 * 4096) <= 112
 
 
+def test_deterministic_run_trials_computes_no_log_likelihood(monkeypatch):
+    """run_trials reads only codes and flags, so a log-likelihood it never
+    reads is never computed, and its counts do not change."""
+    import convqec.decoder
+
+    code = build_code(3)
+    schedule = depolarizing(code.n, 0.05)
+    expected = _stats_fields(run_trials(code, schedule, 3000, master_seed=8, chunk_size=1000))
+
+    def never(*args):
+        raise AssertionError("log_likelihoods called")
+
+    monkeypatch.setattr(convqec.decoder, "log_likelihoods", never)
+    assert _stats_fields(run_trials(code, schedule, 3000, master_seed=8, chunk_size=1000)) == expected
+
+
 def test_wrong_decode_fails_the_residual_check(monkeypatch):
     """A decode with another syndrome than the sampled error's is a decoder
     bug: AssertionError in run_trials and collect_trials alike, never the
