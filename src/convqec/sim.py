@@ -21,13 +21,14 @@ Determinism: all randomness is drawn from Philox streams keyed as follows.
 
 from __future__ import annotations
 
+import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSchedule, _check_seed, depolarizing, make_rng, sample_error_codes
+from .channel import ChannelSchedule, _check_seed, channel_id, depolarizing, make_rng, sample_error_codes
 from .code import ConvolutionalCode, _check_count, build_code, logical_action, syndrome_of
 from .decoder import brute_force_table, codes_of_index, decode_batch
 from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
@@ -201,7 +202,7 @@ def _run_sweep_row(args) -> SweepRow:
     code = build_code(blocks)
     schedule = depolarizing(code.n, p)
     stats = run_trials(code, schedule, trials, row_seed, tie_mode=tie_mode)
-    return SweepRow(blocks, code.n, repr(float(p)), stats)
+    return SweepRow(blocks, code.n, channel_id({"type": "depolarizing", "p": p}), stats)
 
 
 def sweep(
@@ -232,45 +233,37 @@ def sweep(
         return list(pool.map(_run_sweep_row, tasks))
 
 
-CSV_HEADER = "N,n,p_or_schedule_id,trials,logical_errors,rate,ci_low,ci_high,seed,elapsed_s"
+# elapsed_s stays last: each writer formats it apart from the seed-determined values
+ROW_FIELDS = ("N", "n", "p_or_schedule_id", "trials", "logical_errors",
+              "rate", "ci_low", "ci_high", "seed", "elapsed_s")
+CSV_HEADER = ",".join(ROW_FIELDS)
+
+
+def _row_values(row: SweepRow, include_timing: bool) -> tuple:
+    """The row's values in ROW_FIELDS order.
+
+    elapsed_s is 0.0 unless ``include_timing`` is set: run time is not a
+    function of the seed, and emitting it would break byte-for-byte
+    reproducibility of otherwise identical runs.
+    """
+    s = row.stats
+    return (row.blocks, row.n, row.channel_label, s.trials, s.logical_errors,
+            s.rate, s.ci_low, s.ci_high, s.master_seed, s.elapsed if include_timing else 0.0)
 
 
 def rows_to_csv(rows, include_timing: bool = False) -> str:
-    """CSV with the fixed schema above.
-
-    elapsed_s is written as 0.000 unless ``include_timing`` is set: run time
-    is not a function of the seed, and emitting it would break byte-for-byte
-    reproducibility of otherwise identical runs.
-    """
+    """CSV with header CSV_HEADER; elapsed_s has three decimals."""
     lines = [CSV_HEADER]
     for row in rows:
-        s = row.stats
-        elapsed = f"{s.elapsed:.3f}" if include_timing else "0.000"
-        lines.append(
-            f"{row.blocks},{row.n},{row.channel_label},{s.trials},{s.logical_errors},"
-            f"{s.rate!r},{s.ci_low!r},{s.ci_high!r},{s.master_seed},{elapsed}"
-        )
+        *values, elapsed = _row_values(row, include_timing)
+        lines.append(",".join(map(str, values)) + f",{elapsed:.3f}")
     return "\n".join(lines) + "\n"
 
 
 def rows_to_json(rows, include_timing: bool = False) -> str:
-    import json
-
+    """A JSON list of objects keyed by ROW_FIELDS; elapsed_s rounded to 3 places."""
     payload = []
     for row in rows:
-        s = row.stats
-        payload.append(
-            {
-                "N": row.blocks,
-                "n": row.n,
-                "p_or_schedule_id": row.channel_label,
-                "trials": s.trials,
-                "logical_errors": s.logical_errors,
-                "rate": s.rate,
-                "ci_low": s.ci_low,
-                "ci_high": s.ci_high,
-                "seed": s.master_seed,
-                "elapsed_s": round(s.elapsed, 3) if include_timing else 0.0,
-            }
-        )
+        *values, elapsed = _row_values(row, include_timing)
+        payload.append(dict(zip(ROW_FIELDS, (*values, round(elapsed, 3)))))
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

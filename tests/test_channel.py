@@ -320,3 +320,8 @@ def test_sample_error_codes_stream_pinned():
         assert (codes == np.array([0, 2, 3, 1], dtype=np.uint8)[category]).all()
         h.update(codes.tobytes())
     assert h.hexdigest() == SAMPLER_DIGEST
+
+
+def test_schedule_config_rejects_an_extra_key():
+    with pytest.raises(ValueError, match="unknown channel config key 'extra'"):
+        channel_from_config({"type": "schedule", "probs": [[1, 0, 0, 0]] * 7, "extra": 1}, 7)

@@ -214,3 +214,9 @@ def test_encoded_state_sign_table_golden():
     assert "+" + str(code.logical_z[1]) in dump
     for g in code.generators:
         assert "+" + str(g) in dump
+
+
+def test_propagate_error_rejects_other_qubit_counts():
+    circuit = build_encoding_circuit(1)
+    with pytest.raises(ValueError, match="error acts on 3 qubits, circuit has 7"):
+        propagate_error(circuit, pauli_from_string("XII"), 0)

@@ -35,6 +35,16 @@ def test_verify_rejects_zero_blocks(capsys):
     assert run_cli("verify", "--blocks", "0") == 2
 
 
+def test_verify_reports_a_failed_check(capsys, monkeypatch):
+    import convqec.cli
+
+    monkeypatch.setattr(convqec.cli, "verify_layer_commutation", lambda circuit: False)
+    assert run_cli("verify", "--blocks", "1") == 1
+    captured = capsys.readouterr()
+    assert "encoder intra-layer commutation" in captured.out and "FAIL\n" in captured.out
+    assert captured.err == "FAILED: encoder intra-layer commutation\n"
+
+
 def test_verify_describe_export(tmp_path, capsys):
     out = tmp_path / "code.json"
     assert run_cli("verify", "--blocks", "1", "--describe", str(out)) == 0
@@ -311,6 +321,10 @@ ERROR_CASES = {
         [True, False, False, False]] * 7}}, [], "'probs'"),
     "sweep blocks [0]": ("sweep", {**SWEEP, "blocks": [0]}, [], "got 0"),
     "sweep ps [1.5]": ("sweep", {**SWEEP, "ps": [1.5]}, [], "got 1.5"),
+    "simulate trials 2.5": ("simulate", {**SIM, "trials": 2.5}, [], "key 'trials' must be an integer"),
+    "sweep blocks []": ("sweep", {**SWEEP, "blocks": []}, [],
+                        "key 'blocks' must be a non-empty list of integers"),
+    "sweep ps ['a']": ("sweep", {**SWEEP, "ps": ["a"]}, [], "key 'ps' must be a non-empty list of numbers"),
     "decode blocks 0": ("decode", None, ["--blocks", "0", "--syndrome", "00"], "got 0"),
     "decode short syndrome": ("decode", None, ["--blocks", "1", "--syndrome", "00000"], "5 bits, expected 6 bits"),
     "decode non-0/1 syndrome": ("decode", None, ["--blocks", "1", "--syndrome", "00002a"], "'00002a'"),

@@ -192,5 +192,11 @@ def test_describe_contents():
 def test_syndrome_string_round_trip():
     syn = Syndrome((0, 1, 1, 0, 0, 0))
     assert Syndrome.from_string(syn.as_string()) == syn
+    assert len(syn) == 6 and list(syn) == [0, 1, 1, 0, 0, 0]
     with pytest.raises(ValueError):
         Syndrome.from_string("01a")
+
+
+def test_in_stabilizer_rejects_other_qubit_counts():
+    with pytest.raises(ValueError, match="operator acts on 6 qubits, code has 7"):
+        in_stabilizer(build_code(1), identity(6))

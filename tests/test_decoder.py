@@ -713,3 +713,18 @@ def test_decode_batch_random_ties_transient_peak_bounded():
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
     assert peak / (10 * 4096) <= 192
+
+
+def test_decode_batch_rejects_syndromes_of_the_wrong_width():
+    code = build_code(2)
+    with pytest.raises(ValueError, match=r"syndromes must have shape \(trials, 10\)"):
+        decode_batch(code, depolarizing(code.n, 0.1), np.zeros((3, 9), dtype=np.uint8))
+
+
+def test_transition_live_count_checks_stage_and_bits():
+    code = build_code(2)
+    schedule = depolarizing(code.n, 0.1)
+    with pytest.raises(ValueError, match="stage must be in 0..1, got 2"):
+        transition_live_count(code, schedule, 2, (0, 0, 0, 0))
+    with pytest.raises(ValueError, match="expected four 0/1 syndrome bits"):
+        transition_live_count(code, schedule, 0, (0, 0, 0))

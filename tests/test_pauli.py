@@ -150,6 +150,8 @@ def test_shift_preserves_weight():
 def test_shift_overflow():
     with pytest.raises(ValueError):
         shift(pauli_from_string("XX"), 3, 4)
+    with pytest.raises(ValueError, match="offset must be nonnegative, got -1"):
+        shift(pauli_from_string("X"), -1, 3)
 
 
 def test_support_and_codes():
@@ -197,3 +199,10 @@ def test_commutation_bits_validates_code_matrix():
     assert commutation_bits(np.zeros((0, 4)), table).shape == (0, 1)  # no rows, no values to truncate
     with pytest.raises(ValueError):
         support_table([pauli_from_string("XX")], 4)
+
+
+def test_pauli_rejects_bad_sizes():
+    with pytest.raises(ValueError, match="qubit count must be positive, got 0"):
+        Pauli(0, 0, 0)
+    with pytest.raises(ValueError, match="bit vector extends past the declared qubit count"):
+        Pauli(2, 4, 0)

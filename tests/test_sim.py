@@ -415,6 +415,54 @@ def test_json_rows_match_csv_fields():
     }
 
 
+PINNED_CSV = (
+    "N,n,p_or_schedule_id,trials,logical_errors,rate,ci_low,ci_high,seed,elapsed_s\n"
+    "1,7,0.0,300,0,0.0,0.0,0.012642971224546034,3926704849073358691,{t}\n"
+    "1,7,0.03333333333333333,300,6,0.02,0.009197631557703617,0.042939620817860576,"
+    "18161219428762539833,{t}\n"
+)
+
+PINNED_JSON = """[
+  {
+    "N": 1,
+    "ci_high": 0.012642971224546034,
+    "ci_low": 0.0,
+    "elapsed_s": {t},
+    "logical_errors": 0,
+    "n": 7,
+    "p_or_schedule_id": "0.0",
+    "rate": 0.0,
+    "seed": 3926704849073358691,
+    "trials": 300
+  },
+  {
+    "N": 1,
+    "ci_high": 0.042939620817860576,
+    "ci_low": 0.009197631557703617,
+    "elapsed_s": {t},
+    "logical_errors": 6,
+    "n": 7,
+    "p_or_schedule_id": "0.03333333333333333",
+    "rate": 0.02,
+    "seed": 18161219428762539833,
+    "trials": 300
+  }
+]
+"""
+
+
+def test_result_rows_pinned_byte_for_byte():
+    # a p = 0 row, a many-digit label and many-digit interval bounds;
+    # the timed variant pins elapsed_s formatting (.3f in CSV, round(, 3) in JSON)
+    rows = sweep([1], [0.0, 1 / 30], trials=300, master_seed=11)
+    assert rows_to_csv(rows) == PINNED_CSV.replace("{t}", "0.000")
+    assert rows_to_json(rows) == PINNED_JSON.replace("{t}", "0.0")
+    timed = [dataclasses.replace(r, stats=dataclasses.replace(r.stats, elapsed=2.34567)) for r in rows]
+    assert rows_to_csv(timed) == PINNED_CSV.replace("{t}", "0.000")
+    assert rows_to_csv(timed, include_timing=True) == PINNED_CSV.replace("{t}", "2.346")
+    assert rows_to_json(timed, include_timing=True) == PINNED_JSON.replace("{t}", "2.346")
+
+
 def test_syndrome_bits_batch_validates_code_matrix():
     code = build_code(2)
     for bad in (
@@ -444,3 +492,8 @@ def test_single_operator_paths_match_batched_rows():
         assert logical_action(code, p) == tuple(batched)
         logicals = [op for pair in zip(code.logical_x, code.logical_z) for op in pair]
         assert batched == [symplectic_product(p, op) for op in logicals]
+
+
+def test_wilson_interval_rejects_zero_trials():
+    with pytest.raises(ValueError, match="trials must be positive"):
+        wilson_interval(0, 0)

@@ -39,6 +39,10 @@ def test_gate_validation():
         CliffordGate("H", (0,))
     with pytest.raises(ValueError):
         CliffordGate("SWAP", (1, 2))
+    with pytest.raises(ValueError, match=r"H takes 1 qubit\(s\), got \(1, 2\)"):
+        CliffordGate("H", (1, 2))
+    with pytest.raises(ValueError, match=r"CX takes 2 qubit\(s\), got \(1,\)"):
+        CliffordGate("CX", (1,))
 
 
 def test_hadamard_conjugation():
@@ -259,3 +263,11 @@ def test_measure_row_matches_syndrome_at_larger_length():
 def test_signed_pauli_str():
     assert str(SignedPauli(pauli_from_string("XZ"), 0)) == "+XZ"
     assert str(SignedPauli(pauli_from_string("XZ"), 1)) == "-XZ"
+
+
+def test_tableau_rejects_operators_on_other_qubit_counts():
+    t = StabilizerTableau.from_bits([0, 0, 0])
+    with pytest.raises(ValueError, match="error acts on 2 qubits, tableau has 3"):
+        t.apply_pauli_error(pauli_from_string("XI"))
+    with pytest.raises(ValueError, match="operator acts on 4 qubits, tableau has 3"):
+        t.solver().sign_of(pauli_from_string("ZIII"))
