@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,11 +40,12 @@ DEAD_METRIC = np.int64(-(2 ** 59))
 @dataclass(frozen=True, eq=False)
 class ChannelSchedule:
     """Per-qubit Pauli error probabilities, an immutable value: the constructor checks
-    them and builds both per-code tables once; pickled and copied schedules rebuild."""
+    them and builds the per-code and sampling tables once; pickled and copied schedules rebuild."""
 
     probs: np.ndarray  # shape (n, 4), columns (p_I, p_X, p_Y, p_Z)
     _log_by_code: np.ndarray = field(init=False, repr=False)
     _metric_by_code: np.ndarray = field(init=False, repr=False)
+    _thresholds: np.ndarray = field(init=False, repr=False)  # (n, 3) I|X|Y|Z cuts, +inf if only zeros follow
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=np.float64)  # a copy: no caller's view can change it
@@ -62,9 +63,11 @@ class ChannelSchedule:
             logp = np.log(probs[:, _CODE_TO_QUAD])
         scaled = np.round(logp * float(1 << METRIC_SCALE_BITS))
         metric = np.where(np.isfinite(logp), scaled, float(DEAD_METRIC)).astype(np.int64)
-        for name, table in (("probs", probs), ("_log_by_code", logp), ("_metric_by_code", metric)):
+        later = np.logical_or.accumulate(probs[:, :0:-1] > 0, axis=1)[:, ::-1]
+        thresholds = np.where(later, np.cumsum(probs, axis=1)[:, :3], np.inf)
+        for f, table in zip(fields(self), (probs, logp, metric, thresholds)):
             table.setflags(write=False)
-            object.__setattr__(self, name, table)
+            object.__setattr__(self, f.name, table)
 
     def __reduce__(self):
         return ChannelSchedule, (self.probs,)
@@ -117,14 +120,17 @@ def sample_error_codes(schedule: ChannelSchedule, rng, count: int) -> np.ndarray
     """Sample ``count`` independent errors as a (count, n) matrix of codes.
 
     Per qubit, one uniform draw is bucketed against the cumulative
-    (p_I, p_X, p_Y, p_Z) thresholds, in that documented order.
+    (p_I, p_X, p_Y, p_Z) thresholds, in that documented order.  The schedule
+    builds the thresholds once; one that only zero-probability letters follow
+    is +inf, so every sampled letter has positive probability even when a row
+    sums to slightly less than 1.
     """
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)):  # numpy's TypeError names neither
         raise ValueError(f"count must be a non-negative integer, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     rng = make_rng(rng)
-    cum = np.cumsum(schedule.probs, axis=1)
+    cum = schedule._thresholds
     u = rng.random((count, schedule.n))
     # u >= cum[:, k] is the same comparison one threshold at a time; the
     # thresholds ascend, so the three bits a >= b >= c give the code

@@ -642,7 +642,7 @@ def initial_live_count(code: ConvolutionalCode, schedule: ChannelSchedule, bit: 
     if bit not in (0, 1):
         raise ValueError(f"syndrome bit must be 0 or 1, got {bit!r}")
     tab = _tables()
-    pairs, _ = _segment_metrics(metric_table(schedule))
+    pairs, _ = _segment_metrics(metric_table(schedule)[:2])
     return int(((tab.start_bit == bit) & (pairs[0, tab.order] > DEAD_METRIC)).sum())
 
 
@@ -656,17 +656,17 @@ def transition_live_count(
     bit pattern: the four constraints are independent and each halves the set.
     """
     _check_schedule(code, schedule)
-    if not 0 <= stage < code.blocks:
+    if isinstance(stage, bool) or not isinstance(stage, (int, np.integer)) or not 0 <= stage < code.blocks:
         raise ValueError(f"stage must be in 0..{code.blocks - 1}, got {stage}")
     bits = tuple(bits)
     if len(bits) != 4 or any(b not in (0, 1) for b in bits):
         raise ValueError("expected four 0/1 syndrome bits")
-    nib = bits[0] | bits[1] << 1 | bits[2] << 2 | bits[3] << 3
+    nib = sum(int(b) << k for k, b in enumerate(bits))  # int(): 1.0 is a 0/1 value, as in _check_bits
     tab = _tables()
-    pairs, triples = _segment_metrics(metric_table(schedule))
+    pairs, triples = _segment_metrics(metric_table(schedule)[5 * stage:5 * stage + 7])  # the stage's window
     # a window is live iff its predecessor pair [v, w], triple and successor pair are
-    live = (pairs[stage:stage + 2, tab.order] > DEAD_METRIC).reshape(2, 4, 4)
-    cosets = (triples[stage, tab.members] > DEAD_METRIC).sum(axis=1)
+    live = (pairs[:, tab.order] > DEAD_METRIC).reshape(2, 4, 4)
+    cosets = (triples[0, tab.members] > DEAD_METRIC).sum(axis=1)
     # class v meets successor class w through coset nib ^ (4w + v)
     return int(live[1].sum(axis=0) @ cosets[(nib ^ _ROWS16).reshape(4, 4)] @ live[0].sum(axis=1))
 

@@ -47,8 +47,8 @@ class Pauli:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError(f"qubit count must be positive, got {self.n}")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        # a shift, not a mask: building (1 << n) - 1 and its complement costs O(n) per operator
+        if self.x < 0 or self.z < 0 or self.x >> self.n or self.z >> self.n:
             raise ValueError("bit vector extends past the declared qubit count")
 
     def codes(self) -> list[int]:

@@ -1,7 +1,10 @@
 """Monte Carlo harness: sample, decode, classify residuals, aggregate rates.
 
 A trial samples a channel error, extracts its syndrome, decodes, and
-multiplies the sampled and decoded errors.  That residual always has zero
+multiplies the sampled and decoded errors.  A sampled error has positive
+probability, so its syndrome is always feasible: a decode that flags it
+infeasible is a decoder bug and raises AssertionError, and
+``SimStats.infeasible`` is always 0.  The residual always has zero
 syndrome (asserted on every trial); the trial is a success exactly when the
 residual lies in the stabilizer group, i.e. its commutation bits against
 every logical operator vanish.  Decoding to a different error than the one
@@ -23,7 +26,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,7 +74,7 @@ class SimStats:
     ci_high: float
     master_seed: int
     elapsed: float
-    infeasible: int = 0
+    infeasible: int = 0  # always 0: every sampled syndrome is feasible
 
 
 def classify_residual(code: ConvolutionalCode, sampled: Pauli, decoded: Pauli) -> tuple[int, ...]:
@@ -124,7 +126,6 @@ def run_trials(
     start = time.perf_counter()
     rng = make_rng(np.random.SeedSequence(master_seed))
     logical_errors = 0
-    infeasible = 0
     done = 0
     while done < trials:
         batch = min(chunk_size, trials - done)
@@ -135,24 +136,21 @@ def run_trials(
         else:
             seeds = [np.random.SeedSequence(master_seed, spawn_key=(1, t)) for t in range(done, done + batch)]
             result = decode_batch(code, schedule, syndromes, rngs=seeds)
-        live = np.flatnonzero(result.feasible)
-        actions = _logical_actions(code, sampled[live], result.codes[live])
+        if not result.feasible.all():  # the sampled error itself has positive probability
+            raise AssertionError("sampled syndrome decoded as infeasible; decoder is broken")
+        actions = _logical_actions(code, sampled, result.codes)
         logical_errors += int((actions.any(axis=1)).sum())
-        infeasible += int(batch - live.size)
         done += batch
 
-    effective = trials - infeasible
-    rate = logical_errors / effective if effective else 0.0
-    lo, hi = wilson_interval(logical_errors, effective) if effective else (0.0, 0.0)
+    lo, hi = wilson_interval(logical_errors, trials)
     return SimStats(
         trials=trials,
         logical_errors=logical_errors,
-        rate=rate,
+        rate=logical_errors / trials,
         ci_low=lo,
         ci_high=hi,
         master_seed=master_seed,
         elapsed=time.perf_counter() - start,
-        infeasible=infeasible,
     )
 
 
@@ -229,6 +227,8 @@ def sweep(
         tasks.append((blocks, p, trials, derive_row_seed(master_seed, idx), tie_mode))
     if jobs <= 1 or len(tasks) <= 1:
         return [_run_sweep_row(t) for t in tasks]
+    from concurrent.futures import ProcessPoolExecutor  # loaded only by runs that use a pool
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_run_sweep_row, tasks))
 

@@ -325,3 +325,37 @@ def test_sample_error_codes_stream_pinned():
 def test_schedule_config_rejects_an_extra_key():
     with pytest.raises(ValueError, match="unknown channel config key 'extra'"):
         channel_from_config({"type": "schedule", "probs": [[1, 0, 0, 0]] * 7, "extra": 1}, 7)
+
+
+class _TopDraws(np.random.Generator):
+    """Every uniform draw is 1 - 5e-14, inside the shortfall of a row summing to 1 - 1e-13."""
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.full(size, 1.0 - 5e-14)
+
+
+def test_draws_in_a_tolerance_shortfall_never_sample_a_forbidden_letter():
+    """A row may sum to 1 - 1e-13; a draw above its sum lands on the last
+    positive letter, never on the zero-probability letters that follow it."""
+    rows = [[1.0 - 1e-13, 0.0, 0.0, 0.0],   # zero tail of length 3: I
+            [0.6, 0.4 - 1e-13, 0.0, 0.0],   # length 2: X
+            [0.5, 0.25, 0.25 - 1e-13, 0.0],  # length 1: Y
+            [0.5, 0.0, 0.5 - 1e-13, 0.0]]   # length 1 after a zero X: Y
+    schedule = schedule_from_probs(rows)
+    assert (np.abs(schedule.probs.sum(axis=1) - 1.0) > 1e-14).all()
+    codes = sample_error_codes(schedule, _TopDraws(np.random.Philox(0)), 5)
+    assert (codes == [0, 2, 3, 3]).all()  # codes I=0, X=2, Y=3
+    assert np.isfinite(log_likelihoods(schedule, codes)).all()
+
+
+def test_sampling_thresholds_are_the_cumulative_sums_up_to_a_zero_tail():
+    """Threshold k is np.cumsum(probs)[:, k] bit for bit, and +inf exactly
+    when every later letter in I, X, Y, Z order has probability 0."""
+    schedule = schedule_from_probs(sampler_rows(np.random.default_rng(31)))
+    cum = np.cumsum(schedule.probs, axis=1)[:, :3]
+    zero_tail = np.array([[not schedule.probs[q, k + 1:].any() for k in range(3)] for q in range(schedule.n)])
+    assert zero_tail.any() and not zero_tail.all()
+    thresholds = schedule._thresholds
+    assert thresholds[~zero_tail].tobytes() == cum[~zero_tail].tobytes()
+    assert (thresholds[zero_tail] == np.inf).all()
+    assert not thresholds.flags.writeable

@@ -283,6 +283,25 @@ def test_console_script_entry_point():
     assert "convqec" in proc.stdout
 
 
+def test_import_loads_no_process_pool():
+    """Only a sweep with --jobs > 1 runs a pool, so importing the package loads
+    neither multiprocessing nor concurrent.futures."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import convqec
+
+    package_root = str(Path(convqec.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    probe = "import sys, convqec; print(sorted(m for m in sys.modules if m.split('.')[0] in " \
+            "('multiprocessing', 'concurrent')))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0 and proc.stdout == "[]\n"
+
+
 def test_package_all_names_no_modules():
     import types
 
@@ -382,3 +401,37 @@ def test_bad_config_runs_nothing(tmp_path, capsys, monkeypatch, channel_file):
     monkeypatch.setattr(convqec.sim, "_run_sweep_row", never)
     for grid in ({"blocks": [40, 0]}, {"ps": [0.02, 1.5]}, {"trials": 0}):
         assert run_cli("sweep", config_path(tmp_path, {**SWEEP, **grid})) == 2
+
+
+# Per-qubit rows with zero-probability letters, zero tails of length 1 to 3, and
+# rows summing to 1 - 1e-13; the outputs were recorded from the sampler that
+# compared draws against np.cumsum of the rows, before thresholds skipped zero tails.
+ZERO_LETTER_ROWS = [
+    [0.5, 0.5, 0.0, 0.0], [0.8, 0.1, 0.1, 0.0], [1.0, 0.0, 0.0, 0.0], [0.7, 0.0, 0.3 - 1e-13, 0.0],
+    [0.5, 0.25, 0.25, 0.0], [0.6, 0.4 - 1e-13, 0.0, 0.0], [0.0, 0.5, 0.0, 0.5], [0.9, 0.0, 0.0, 0.1],
+    [1.0 - 1e-13, 0.0, 0.0, 0.0], [0.4, 0.3, 0.3, 0.0], [0.7, 0.1, 0.1, 0.1], [0.5, 0.0, 0.5, 0.0],
+]
+ZERO_LETTER_PINS = {
+    "deterministic": ("1445", "0.4816666666666667", "0.46382162332130494", "0.49955860113195705"),
+    "random": ("1457", "0.4856666666666667", "0.46781183860604003", "0.5035581550574194"),
+}
+
+
+@pytest.mark.parametrize("tie_mode", sorted(ZERO_LETTER_PINS))
+def test_simulate_zero_letter_schedule_pinned(tmp_path, capsys, tie_mode):
+    errors, rate, lo, hi = ZERO_LETTER_PINS[tie_mode]
+    expected = {
+        "csv": "N,n,p_or_schedule_id,trials,logical_errors,rate,ci_low,ci_high,seed,elapsed_s\n"
+               f"2,12,schedule-533368da,3000,{errors},{rate},{lo},{hi},11,0.000\n",
+        "json": f'[\n  {{\n    "N": 2,\n    "ci_high": {hi},\n    "ci_low": {lo},\n    "elapsed_s": 0.0,\n'
+                f'    "logical_errors": {errors},\n    "n": 12,\n    "p_or_schedule_id": "schedule-533368da",\n'
+                f'    "rate": {rate},\n    "seed": 11,\n    "trials": 3000\n  }}\n]\n',
+    }
+    for fmt, text in expected.items():
+        config = tmp_path / f"{fmt}.json"
+        config.write_text(json.dumps({
+            "blocks": 2, "channel": {"type": "schedule", "probs": ZERO_LETTER_ROWS},
+            "trials": 3000, "seed": 11, "tie_mode": tie_mode, "format": fmt,
+        }))
+        assert run_cli("simulate", str(config)) == 0
+        assert capsys.readouterr().out == text

@@ -728,3 +728,56 @@ def test_transition_live_count_checks_stage_and_bits():
         transition_live_count(code, schedule, 2, (0, 0, 0, 0))
     with pytest.raises(ValueError, match="expected four 0/1 syndrome bits"):
         transition_live_count(code, schedule, 0, (0, 0, 0))
+
+
+def test_transition_live_count_rejects_a_non_integer_stage_by_name():
+    """1.5, True and "1" are named by the stage check, not raised from slicing
+    or indexing as a TypeError or an IndexError; numpy integers are stages."""
+    code = build_code(3)
+    schedule = depolarizing(code.n, 0.1)
+    for stage in (1.5, True, "1", None):
+        with pytest.raises(ValueError, match=r"stage must be in 0\.\.2, got"):
+            transition_live_count(code, schedule, stage, (0, 1, 0, 1))
+    assert transition_live_count(code, schedule, np.int64(2), (0, 1, 0, 1)) == 1024
+
+
+def test_transition_live_count_accepts_the_bits_decode_batch_accepts():
+    """1.0, True and numpy integers are 0/1 syndrome values, as in decode_batch."""
+    code = build_code(2)
+    schedule = schedule_from_probs([[0.5, 0.5, 0.0, 0.0]] * code.n)
+    expected = transition_live_count(code, schedule, 1, (0, 1, 0, 1))
+    for bits in ((0, 1, 0, 1.0), (False, True, 0, True), (np.uint8(0), 1, np.int64(0), 1)):
+        assert transition_live_count(code, schedule, 1, bits) == expected
+    with pytest.raises(ValueError, match="expected four 0/1 syndrome bits"):
+        transition_live_count(code, schedule, 1, (0, 1, 0, 0.5))
+
+
+def test_live_counts_read_only_their_window(monkeypatch):
+    """A live count needs the metric rows of one window: the first two qubits,
+    or stage s's qubits 5s+1..5s+7, never all N stages."""
+    import convqec.decoder
+
+    seen, segment_metrics = [], convqec.decoder._segment_metrics
+
+    def recording(mt):
+        seen.append(len(mt))
+        return segment_metrics(mt)
+
+    monkeypatch.setattr(convqec.decoder, "_segment_metrics", recording)
+    code = build_code(40)
+    rng = np.random.default_rng(4)
+    probs = rng.random((code.n, 4))
+    probs[rng.random(probs.shape) < 0.3] = 0.0
+    probs[:, 0] += 1e-3
+    schedule = schedule_from_probs(probs / probs.sum(axis=1, keepdims=True))
+    initial_live_count(code, schedule, 1)
+    for stage in (0, 17, 39):
+        # the count from the whole table, as read before it was windowed
+        pairs, triples = segment_metrics(convqec.decoder.metric_table(schedule))
+        tab = convqec.decoder._tables()
+        live = (pairs[stage:stage + 2, tab.order] > convqec.decoder.DEAD_METRIC).reshape(2, 4, 4)
+        cosets = (triples[stage, tab.members] > convqec.decoder.DEAD_METRIC).sum(axis=1)
+        for nib in (0, 5, 15):
+            want = live[1].sum(axis=0) @ cosets[(nib ^ np.arange(16)).reshape(4, 4)] @ live[0].sum(axis=1)
+            assert transition_live_count(code, schedule, stage, [nib >> k & 1 for k in range(4)]) == want
+    assert seen == [2] + [7] * 9

@@ -206,3 +206,21 @@ def test_pauli_rejects_bad_sizes():
         Pauli(0, 0, 0)
     with pytest.raises(ValueError, match="bit vector extends past the declared qubit count"):
         Pauli(2, 4, 0)
+
+
+def test_pauli_size_check_accepts_and_rejects_as_before():
+    """The bit-length check accepts numpy integers and bools as it always
+    did and raises the same ValueErrors for n < 1, negative and overlong vectors."""
+    for n, x, z in ((1, 1, 1), (3, np.int64(7), np.uint8(5)), (np.uint8(3), 7, 0), (True, 1, 0),
+                    (3, np.True_, False), (200, 1 << 199, (1 << 200) - 1), (64, np.uint64(2 ** 64 - 1), 0)):
+        assert (Pauli(n, x, z).x, Pauli(n, x, z).z) == (x, z)
+    for n in (0, -1, 0.5):
+        with pytest.raises(ValueError, match=f"qubit count must be positive, got {n}"):
+            Pauli(n, 0, 0)
+    for n, x, z in ((3, 8, 0), (3, 0, 8), (3, -1, 0), (3, 0, -1), (3, np.int64(-1), 0), (np.int32(3), 3, np.int32(8)),
+                    (200, 1 << 200, 0), (200, -(1 << 300), 0), (63, np.uint64(2 ** 64 - 1), 0)):
+        with pytest.raises(ValueError, match="bit vector extends past the declared qubit count"):
+            Pauli(n, x, z)
+    for n, x, z in ((2.0, 1, 0), (2, 1.0, 0), (2, "1", 0), (2, None, 0)):
+        with pytest.raises(TypeError):
+            Pauli(n, x, z)

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convqec.channel import depolarizing, make_rng
+from convqec.channel import depolarizing, make_rng, schedule_from_probs
 from convqec.code import build_code, logical_action, syndrome_of
 from convqec.pauli import (
     code_rows,
@@ -497,3 +497,31 @@ def test_single_operator_paths_match_batched_rows():
 def test_wilson_interval_rejects_zero_trials():
     with pytest.raises(ValueError, match="trials must be positive"):
         wilson_interval(0, 0)
+
+
+def test_a_sampled_syndrome_flagged_infeasible_fails_as_a_decoder_bug(monkeypatch):
+    """A sampled error has positive probability, so its syndrome is feasible:
+    a decode that flags it infeasible raises in both tie modes instead of
+    being counted, and unpatched runs, zero-probability letters included,
+    report infeasible == 0."""
+    import convqec.sim
+
+    code = build_code(2)
+    rows = [[0.5, 0.5, 0.0, 0.0], [0.6, 0.4 - 1e-13, 0.0, 0.0], [0.7, 0.0, 0.0, 0.3], [1.0, 0.0, 0.0, 0.0]] * 3
+    schedule = schedule_from_probs(rows)
+    for tie_mode in ("deterministic", "random"):
+        stats = run_trials(code, schedule, 300, master_seed=5, tie_mode=tie_mode, chunk_size=64)
+        assert stats.infeasible == 0 and 0 < stats.logical_errors < 300
+
+    decode_batch = convqec.sim.decode_batch
+
+    def flag_one_row(code, schedule, syndromes, rngs=None):
+        result = decode_batch(code, schedule, syndromes, rngs)
+        result.feasible[-1] = False
+        result.codes[-1] = 0
+        return result
+
+    monkeypatch.setattr(convqec.sim, "decode_batch", flag_one_row)
+    for tie_mode in ("deterministic", "random"):
+        with pytest.raises(AssertionError, match="infeasible; decoder is broken"):
+            run_trials(code, schedule, 300, master_seed=5, tie_mode=tie_mode, chunk_size=64)
