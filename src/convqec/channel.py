@@ -40,12 +40,14 @@ DEAD_METRIC = np.int64(-(2 ** 59))
 @dataclass(frozen=True, eq=False)
 class ChannelSchedule:
     """Per-qubit Pauli error probabilities, an immutable value: the constructor checks
-    them and builds the per-code and sampling tables once; pickled and copied schedules rebuild."""
+    them and builds the per-code and sampling tables, and the floor under every path
+    metric, once; pickled and copied schedules rebuild."""
 
     probs: np.ndarray  # shape (n, 4), columns (p_I, p_X, p_Y, p_Z)
     _log_by_code: np.ndarray = field(init=False, repr=False)
     _metric_by_code: np.ndarray = field(init=False, repr=False)
     _thresholds: np.ndarray = field(init=False, repr=False)  # (n, 3) I|X|Y|Z cuts, +inf if only zeros follow
+    _metric_floor: int = field(init=False, repr=False)  # each qubit's smallest live metric, summed
 
     def __post_init__(self) -> None:
         probs = np.array(self.probs, dtype=np.float64)  # a copy: no caller's view can change it
@@ -68,6 +70,9 @@ class ChannelSchedule:
         for f, table in zip(fields(self), (probs, logp, metric, thresholds)):
             table.setflags(write=False)
             object.__setattr__(self, f.name, table)
+        lowest = metric.min(axis=1, where=metric > DEAD_METRIC, initial=0)  # each above -2^40: 2^22 fit int64
+        floor = sum(int(lowest[lo:lo + (1 << 22)].sum()) for lo in range(0, len(lowest), 1 << 22))
+        object.__setattr__(self, "_metric_floor", floor)
 
     def __reduce__(self):
         return ChannelSchedule, (self.probs,)

@@ -27,7 +27,7 @@ from .circuits import (
 )
 from .code import Syndrome, build_code, describe, verify_code
 from .decoder import InfeasibleSyndromeError, brute_force_table, codes_of_index, decode_batch
-from .decoder import viterbi_decode
+from .decoder import syndrome_index, viterbi_decode
 from .sim import SweepRow, rows_to_csv, rows_to_json, run_trials, sweep, syndrome_bits_batch
 from .tableau import StabilizerTableau
 
@@ -175,7 +175,7 @@ def cmd_oracle_check(args) -> int:
         syndromes = syndrome_bits_batch(code, sampled)
 
     batch = decode_batch(code, schedule, syndromes)
-    index = syndromes @ (1 << np.arange(n_bits))
+    index = syndrome_index(syndromes)
     both = batch.feasible & feasible[index]
     mismatches = int((batch.feasible != feasible[index]).sum())
     index = index[both]

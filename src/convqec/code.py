@@ -12,6 +12,11 @@ the six-qubit window 5(i-1)+1 .. 5(i-1)+6 with patterns IZIXIZ (logical X)
 and IZZZZZ (logical Z), so consecutive logical pairs are shifted by five
 qubits and the logical Z covers the information position.  All interfaces
 speak 1-based qubit positions.
+
+A code is its two support tables, which :func:`build_code` fills in O(N).
+What materialises n-bit operators stays desk-scale: :func:`verify_code`,
+:func:`in_stabilizer`, :func:`describe` and the first read of ``generators``,
+``logical_x`` or ``logical_z``.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from . import gf2
-from .pauli import Pauli, SupportTable, code_rows, commutation_bits, pauli_from_string, shift
+from .pauli import Pauli, SupportTable, code_rows, commutation_bits, paulis_from_table, pauli_from_string
 from .pauli import support_table
 
 BLOCK_GENERATOR = "ZXXZ"
@@ -35,25 +40,32 @@ LOGICAL_Z_PATTERN = "IZZZZZ"
 
 @dataclass(frozen=True)
 class ConvolutionalCode:
-    """Stabilizer data of the truncated code; immutable after construction."""
+    """Support tables of the truncated code, immutable; the operators as
+    n-bit Paulis are built from them on first read."""
 
     blocks: int
-    n: int
-    generators: tuple[Pauli, ...]
-    logical_x: tuple[Pauli, ...]
-    logical_z: tuple[Pauli, ...]
-    info_positions: tuple[int, ...]
+    generator_table: SupportTable
+    logical_table: SupportTable  # X1, Z1, X2, Z2, ...
 
-    # Support tables, built on first use so that build_code stays cheap.
-    @cached_property
-    def generator_table(self) -> SupportTable:
-        return support_table(self.generators, self.n)
+    @property
+    def n(self) -> int:
+        return self.generator_table.n
+
+    @property
+    def info_positions(self) -> tuple[int, ...]:
+        return tuple(range(6, 5 * self.blocks + 2, 5))
 
     @cached_property
-    def logical_table(self) -> SupportTable:
-        """Table of the logicals interleaved as X1, Z1, X2, Z2, ..."""
-        interleaved = [op for pair in zip(self.logical_x, self.logical_z) for op in pair]
-        return support_table(interleaved, self.n)
+    def generators(self) -> tuple[Pauli, ...]:
+        return paulis_from_table(self.generator_table)
+
+    @cached_property
+    def logical_x(self) -> tuple[Pauli, ...]:
+        return paulis_from_table(self.logical_table)[0::2]
+
+    @cached_property
+    def logical_z(self) -> tuple[Pauli, ...]:
+        return paulis_from_table(self.logical_table)[1::2]
 
 
 @dataclass(frozen=True)
@@ -93,22 +105,12 @@ def _check_count(name: str, value) -> None:
 def build_code(blocks: int) -> ConvolutionalCode:
     """Instantiate the code with ``blocks`` logical qubits (n = 5*blocks + 2)."""
     _check_count("block count", blocks)
-    n = 5 * blocks + 2
-    block = pauli_from_string(BLOCK_GENERATOR)
-    generators = [shift(pauli_from_string(START_GENERATOR), 0, n)]
-    for i in range(blocks):
-        for j in range(1, 5):
-            generators.append(shift(block, 5 * i + j - 1, n))
-    generators.append(shift(pauli_from_string(END_GENERATOR), 5 * blocks, n))
-
-    logical_x = tuple(
-        shift(pauli_from_string(LOGICAL_X_PATTERN), 5 * i, n) for i in range(blocks)
-    )
-    logical_z = tuple(
-        shift(pauli_from_string(LOGICAL_Z_PATTERN), 5 * i, n) for i in range(blocks)
-    )
-    info_positions = tuple(5 * i + 1 for i in range(1, blocks + 1))
-    return ConvolutionalCode(blocks, n, tuple(generators), logical_x, logical_z, info_positions)
+    n, starts = 5 * blocks + 2, 5 * np.arange(blocks)
+    patterns = [pauli_from_string(s) for s in (START_GENERATOR, BLOCK_GENERATOR, END_GENERATOR)]
+    block_offsets = (starts[:, None] + np.arange(4)).ravel()  # ZXXZ from qubits 5i+1..5i+4
+    generators = support_table(patterns, n, [[0], block_offsets, [5 * blocks]])
+    logicals = [pauli_from_string(LOGICAL_X_PATTERN), pauli_from_string(LOGICAL_Z_PATTERN)]
+    return ConvolutionalCode(blocks, generators, support_table(logicals, n, [starts, starts]))
 
 
 def symplectic_vector(p: Pauli) -> int:

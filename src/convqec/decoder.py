@@ -58,11 +58,12 @@ again later, which breaks any exact tie contract.)  The reported
 log-likelihood is the unquantized float sum for the decoded string; the
 quantization only coarsens comparisons, treating errors within ~1e-9 log
 units of each other as ties.  Zero-probability branches carry a large
-negative sentinel and every stage clamps at that floor.  That is exact only
-while live path metrics stay above the sentinel, DEAD_METRIC = -2^59: at
-the worst per-qubit term, about -745 * 2^30, that holds for paths shorter
-than about 7.2e5 qubits (2^29 / 745), and a longer block could take a live
-path for a dead one.
+negative sentinel, DEAD_METRIC = -2^59, and every stage clamps at that
+floor.  A schedule sums each qubit's smallest live metric once, a floor
+under every live path metric, and every sweep first checks that it is above
+the sentinel, raising ValueError otherwise: depolarizing p = 0.02 passes up
+to about 1e8 qubits, the worst per-qubit term, about -745 * 2^30, up to
+about 7.2e5.
 
 Tie-breaking (deterministic mode): among tied errors the decoder returns
 the one whose code sequence is smallest when read from the LAST qubit
@@ -465,6 +466,14 @@ def _check_schedule(code: ConvolutionalCode, schedule: ChannelSchedule) -> None:
         raise ValueError(f"schedule covers {schedule.n} qubits, code has {code.n}")
 
 
+def _check_metric_range(schedule: ChannelSchedule) -> None:
+    """ValueError unless the sum over qubits of each qubit's smallest live
+    metric, a floor under every live path metric, is above DEAD_METRIC."""
+    if schedule._metric_floor <= int(DEAD_METRIC):  # as Python ints: the sum can lie below int64
+        raise ValueError(f"live path metrics on {schedule.n} qubits can reach the dead-branch floor "
+                         f"{int(DEAD_METRIC)}: each qubit's smallest live metric sums to {schedule._metric_floor}")
+
+
 def _check_bits(syndromes: np.ndarray) -> np.ndarray:
     """The uint8 0/1 matrix ``syndromes``; ValueError if any entry is not 0 or 1."""
     if ((syndromes != 0) & (syndromes != 1)).any():
@@ -545,6 +554,7 @@ def decode_batch(
     if syndromes.ndim != 2 or syndromes.shape[1] != 4 * code.blocks + 2:
         raise ValueError(f"syndromes must have shape (trials, {4 * code.blocks + 2})")
     _check_schedule(code, schedule)
+    _check_metric_range(schedule)
     syndromes = _check_bits(syndromes)
     if rngs is not None and len(rngs) != len(syndromes):
         raise ValueError(f"rngs holds {len(rngs)} generators for {len(syndromes)} trials")
@@ -576,8 +586,7 @@ def _enumerate_errors(code: ConvolutionalCode, schedule: ChannelSchedule):
         )
     _check_schedule(code, schedule)
     mt = metric_table(schedule)
-    shifts = np.arange(len(code.generators), dtype=np.int32)
-    masks = (_single_qubit_syndromes(code) << shifts).sum(axis=2, dtype=np.int32)
+    masks = syndrome_index(_single_qubit_syndromes(code)).astype(np.int32)
     metric, syn_idx = np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int32)
     for q in range(n):
         total = mt[q][:, None] + metric
@@ -597,6 +606,11 @@ def codes_of_index(index, n: int) -> np.ndarray:
     return ((np.asarray(index)[..., None] >> (2 * np.arange(n))) & 3).astype(np.uint8)
 
 
+def syndrome_index(syndromes: np.ndarray) -> np.ndarray:
+    """Oracle syndrome integers of (..., m) 0/1 syndrome bits: bit k is generator k's."""
+    return syndromes @ (1 << np.arange(syndromes.shape[-1]))
+
+
 def brute_force_ml(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Syndrome) -> DecodeResult:
     """Exhaustive maximum-likelihood decode; the oracle viterbi is tested against.
 
@@ -606,7 +620,7 @@ def brute_force_ml(code: ConvolutionalCode, schedule: ChannelSchedule, syn: Synd
     """
     syndromes = _check_inputs(code, schedule, syn)
     ll, winner, tie, feasible = brute_force_table(code, schedule)
-    s = int(syndromes[0] @ (1 << np.arange(syndromes.shape[1])))
+    s = int(syndrome_index(syndromes[0]))
     if not feasible[s]:
         raise InfeasibleSyndromeError("no positive-probability error matches this syndrome")
     error = pauli_from_codes(codes_of_index(winner[s], code.n))
@@ -621,7 +635,7 @@ def brute_force_table(code: ConvolutionalCode, schedule: ChannelSchedule):
     positive-probability error exists.
     """
     metric, syn_idx = _enumerate_errors(code, schedule)
-    n_syndromes = 1 << len(code.generators)
+    n_syndromes = 1 << code.generator_table.qubits.shape[1]
     best = np.full(n_syndromes, DEAD_METRIC, dtype=np.int64)
     np.maximum.at(best, syn_idx, metric)
     feasible = best > DEAD_METRIC
@@ -683,6 +697,7 @@ def survivor_merge_lag(
     trail; the normative decoder always waits for the final boundary bit.
     """
     syndromes = _check_inputs(code, schedule, syn)
+    _check_metric_range(schedule)
     tab, live = _tables(), []
     _, back = _sweep(tab, metric_table(schedule), syndromes, live=live)
     preds = (np.tile(back[:, :, 0], 4) >> 6) & 15  # [stage, position], position 4v + w

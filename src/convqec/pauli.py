@@ -20,6 +20,7 @@ use (:func:`symplectic_product` is the bigint reference for one pair).
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 
@@ -164,18 +165,46 @@ class SupportTable:
     qubits: np.ndarray   # (w, m) intp
     swapped: np.ndarray  # (w, m, 1) uint8
 
+    # a value: equal tables hold equal arrays
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, SupportTable) and self.n == other.n
+                and np.array_equal(self.qubits, other.qubits) and np.array_equal(self.swapped, other.swapped))
 
-def support_table(operators, n: int) -> SupportTable:
+    def __hash__(self) -> int:
+        return hash((self.n, self.qubits.shape, self.qubits.tobytes(), self.swapped.tobytes()))
+
+
+def support_table(operators, n: int, offsets=None) -> SupportTable:
     """Table of ``operators``, built from the bytes of each one: O(m * n / 8)
-    time and O(m * w) memory, never a dense m x n matrix."""
-    if any(p.n != n for p in operators):
-        raise ValueError(f"every operator must act on {n} qubits")
-    qubits = np.zeros((max(map(weight, operators), default=0), len(operators)), dtype=np.intp)
+    time and O(m * w) memory, never a dense m x n matrix.  With ``offsets``, one
+    sequence per operator, each operator is instead placed with its first qubit
+    at each of its 0-based offsets, the columns ordered by offset, ties in operator order."""
+    if offsets is None:
+        if any(p.n != n for p in operators):
+            raise ValueError(f"every operator must act on {n} qubits")
+        offsets = [(0,)] * len(operators)
+    elif any(np.size(o) and (np.min(o) < 0 or np.max(o) + p.n > n)
+             for p, o in zip(operators, offsets, strict=True)):
+        raise ValueError(f"every placed operator must lie within {n} qubits")
+    sparse = [_sparse(p) for p in operators]
+    at = np.concatenate([np.zeros(0, dtype=np.intp), *offsets]).astype(np.intp, copy=False)
+    qubits = np.zeros((max((len(q) for q, _ in sparse), default=0), len(at)), dtype=np.intp)
     letters = np.zeros(qubits.shape + (1,), dtype=np.uint8)
-    for j, p in enumerate(operators):
-        q, c = _sparse(p)
-        qubits[:len(q), j], letters[:len(c), j, 0] = q, c
-    return SupportTable(n, qubits, ((letters & 1) << 1) | (letters >> 1))
+    bounds = list(itertools.accumulate(map(len, offsets), initial=0))  # operator j's columns, before sorting
+    for (q, c), lo, hi in zip(sparse, bounds, bounds[1:]):
+        qubits[:len(q), lo:hi] = q[:, None] + at[lo:hi]
+        letters[:len(c), lo:hi, 0] = c[:, None]
+    order = np.argsort(at, kind="stable")
+    letters = letters[:, order]
+    return SupportTable(n, qubits[:, order], ((letters & 1) << 1) | (letters >> 1))
+
+
+def paulis_from_table(table: SupportTable) -> tuple[Pauli, ...]:
+    """The operators of ``table`` as n-qubit Paulis, the inverse of :func:`support_table`."""
+    letters = table.swapped[..., 0].T  # x and z exchanged: the x bit is bit 0
+    x_bits, z_bits = (letters & 1).tolist(), (letters >> 1).tolist()
+    return tuple(Pauli(table.n, sum(b << q for q, b in zip(qs, xs)), sum(b << q for q, b in zip(qs, zs)))
+                 for qs, xs, zs in zip(table.qubits.T.tolist(), x_bits, z_bits))
 
 
 def as_code_matrix(codes, n: int | None = None) -> np.ndarray:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .channel import ChannelSchedule, _check_seed, channel_id, depolarizing, make_rng, sample_error_codes
 from .code import ConvolutionalCode, _check_count, build_code, logical_action, syndrome_of
-from .decoder import brute_force_table, codes_of_index, decode_batch
+from .decoder import brute_force_table, codes_of_index, decode_batch, syndrome_index
 from .pauli import Pauli, commutation_bits, multiply, pauli_from_codes
 
 WILSON_Z = 1.959963984540054  # two-sided 95%
@@ -175,7 +175,7 @@ def collect_trials(
         decoded = decode_batch(code, schedule, syndromes).codes
     else:
         _, winner, _, _ = brute_force_table(code, schedule)
-        decoded = codes_of_index(winner[syndromes @ (1 << np.arange(syndromes.shape[1]))], code.n)
+        decoded = codes_of_index(winner[syndrome_index(syndromes)], code.n)
     actions = _logical_actions(code, sampled, decoded).tolist()
     return [TrialOutcome(pauli_from_codes(s), pauli_from_codes(d), tuple(bits))
             for s, d, bits in zip(sampled, decoded, actions)]

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .pauli import Pauli, as_code_matrix, commutation_bits, support_table
+from .pauli import Pauli, _pack, as_code_matrix, commutation_bits, support_table
 
 GATE_ARITY = {"H": 1, "X": 1, "Z": 1, "CX": 2, "CZ": 2}
 
@@ -150,9 +150,7 @@ class StabilizerTableau:
         self.phase = (self.phase + 2 * anti) % 4
 
     def _row_ints(self, r: int) -> tuple[int, int]:
-        xb = int.from_bytes(np.packbits(self.x[r], bitorder="little").tobytes(), "little")
-        zb = int.from_bytes(np.packbits(self.z[r], bitorder="little").tobytes(), "little")
-        return xb, zb
+        return _pack(self.x[r]), _pack(self.z[r])
 
     def rows(self) -> list[SignedPauli]:
         y_count = (self.x & self.z).sum(axis=1, dtype=np.int64)

@@ -14,7 +14,7 @@ from convqec.code import (
     syndrome_of,
     verify_code,
 )
-from convqec.pauli import Pauli, identity, multiply, pauli_from_string
+from convqec.pauli import Pauli, identity, multiply, pauli_from_string, shift, support_table
 
 N1_GENERATORS = ["XZIIIII", "ZXXZIII", "IZXXZII", "IIZXXZI", "IIIZXXZ", "IIIIIZX"]
 
@@ -62,6 +62,53 @@ def test_build_code_counts():
     assert code.info_positions == (6, 11, 16)
 
 
+def _shifted_operators(blocks):
+    """The code's operators built one by one, each pattern shifted into place:
+    the reference that build_code's pattern placement must reproduce."""
+    n = 5 * blocks + 2
+    block = pauli_from_string("ZXXZ")
+    generators = [shift(pauli_from_string("XZ"), 0, n)]
+    generators += [shift(block, 5 * i + j, n) for i in range(blocks) for j in range(4)]
+    generators.append(shift(pauli_from_string("ZX"), 5 * blocks, n))
+    logical_x = [shift(pauli_from_string("IZIXIZ"), 5 * i, n) for i in range(blocks)]
+    logical_z = [shift(pauli_from_string("IZZZZZ"), 5 * i, n) for i in range(blocks)]
+    return generators, logical_x, logical_z
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 3, 7, 50, 300])
+def test_build_code_tables_match_shifted_operators(blocks):
+    generators, logical_x, logical_z = _shifted_operators(blocks)
+    n = 5 * blocks + 2
+    expected = (support_table(generators, n),
+                support_table([op for pair in zip(logical_x, logical_z) for op in pair], n))
+    code = build_code(blocks)
+    for got, want in zip((code.generator_table, code.logical_table), expected):
+        assert got.n == want.n == n
+        for a, b in ((got.qubits, want.qubits), (got.swapped, want.swapped)):
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b)
+    assert code == ConvolutionalCode(blocks, *expected)
+    strings = {"generators": [str(g) for g in generators],
+               "logical_x": [str(p) for p in logical_x],
+               "logical_z": [str(p) for p in logical_z]}
+    info = [5 * i + 1 for i in range(1, blocks + 1)]
+    assert describe(code) == {"blocks": blocks, "n": n, **strings, "info_positions": info}
+    assert (code.n, code.info_positions) == (n, tuple(info))
+    assert code.generators == tuple(generators)
+    assert (code.logical_x, code.logical_z) == (tuple(logical_x), tuple(logical_z))
+
+
+def test_code_equality_and_hash_compare_tables():
+    assert build_code(4) == build_code(4)
+    assert hash(build_code(4)) == hash(build_code(4))
+    assert build_code(4) != build_code(5)
+    code = build_code(2)
+    generators = list(code.generators)
+    g = generators[2]
+    generators[2] = Pauli(g.n, g.x ^ 1, g.z)
+    assert ConvolutionalCode(code.blocks, support_table(generators, code.n), code.logical_table) != code
+    assert ConvolutionalCode(code.blocks, support_table(code.generators, code.n), code.logical_table) == code
+
+
 def test_build_code_rejects_zero_blocks():
     with pytest.raises(ValueError):
         build_code(0)
@@ -81,10 +128,7 @@ def test_verify_code_detects_mutation():
     generators = list(code.generators)
     g = generators[2]
     generators[2] = Pauli(g.n, g.x ^ 1, g.z)  # flip one x bit of the third generator
-    mutated = ConvolutionalCode(
-        code.blocks, code.n, tuple(generators), code.logical_x, code.logical_z,
-        code.info_positions,
-    )
+    mutated = ConvolutionalCode(code.blocks, support_table(generators, code.n), code.logical_table)
     report = verify_code(mutated)
     assert not report.generator_commutation
     assert not report.all_passed(mutated)

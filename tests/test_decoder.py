@@ -361,6 +361,7 @@ def test_relabeling_x_and_z_relabels_the_decoded_error():
     the exhaustive oracle handles that code directly.
     """
     from convqec.code import ConvolutionalCode
+    from convqec.pauli import support_table
 
     swap = {0: 0, 1: 2, 2: 1, 3: 3}  # exchanges Z and X codes, fixes I and Y
 
@@ -370,11 +371,9 @@ def test_relabeling_x_and_z_relabels_the_decoded_error():
     rng = np.random.default_rng(7)
     code = build_code(2)
     swapped_code = ConvolutionalCode(
-        code.blocks, code.n,
-        tuple(relabel(g) for g in code.generators),
-        tuple(relabel(p) for p in code.logical_x),
-        tuple(relabel(p) for p in code.logical_z),
-        code.info_positions,
+        code.blocks,
+        support_table([relabel(g) for g in code.generators], code.n),
+        support_table([relabel(p) for pair in zip(code.logical_x, code.logical_z) for p in pair], code.n),
     )
     probs = rng.random((12, 4)) ** 2 + 1e-3
     probs /= probs.sum(axis=1, keepdims=True)
@@ -781,3 +780,43 @@ def test_live_counts_read_only_their_window(monkeypatch):
             want = live[1].sum(axis=0) @ cosets[(nib ^ np.arange(16)).reshape(4, 4)] @ live[0].sum(axis=1)
             assert transition_live_count(code, schedule, stage, [nib >> k & 1 for k in range(4)]) == want
     assert seen == [2] + [7] * 9
+
+
+def test_sweeps_reject_blocks_whose_live_metrics_can_reach_the_dead_floor(monkeypatch):
+    """Past about 7.8e5 qubits a channel with a 1e-300 letter lets a live path
+    metric reach DEAD_METRIC, where it would pass for a dead one: every sweep
+    raises first, before any sweep allocates."""
+    import convqec.decoder
+    from convqec.channel import metric_table
+    from convqec.sim import run_trials
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("a sweep started")
+
+    monkeypatch.setattr(convqec.decoder, "_sweep", no_sweep)
+    code = build_code(160_000)
+    schedule = schedule_from_probs(np.tile([1.0, 1e-300, 0.0, 0.0], (code.n, 1)))
+    total = code.n * int(metric_table(schedule)[0, 2])  # X is each qubit's least likely live letter
+    assert total <= convqec.decoder.DEAD_METRIC
+    zero = Syndrome((0,) * (4 * code.blocks + 2))
+    calls = [
+        lambda: decode_batch(code, schedule, np.zeros((1, 4 * code.blocks + 2), dtype=np.uint8)),
+        lambda: viterbi_decode(code, schedule, zero),
+        lambda: survivor_merge_lag(code, schedule, zero),
+        lambda: run_trials(code, schedule, 1, master_seed=1),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"on {code.n} qubits .* sums to {total}$"):
+            call()
+    # 750002 qubits of the same channel stay above the floor
+    convqec.decoder._check_metric_range(schedule_from_probs(np.tile([1.0, 1e-300, 0.0, 0.0], (750_002, 1))))
+
+
+def test_depolarizing_block_of_twenty_thousand_decodes():
+    code = build_code(20_000)
+    schedule = depolarizing(code.n, 0.02)
+    sampled = sample_error_codes(schedule, make_rng(12), 1)
+    syndromes = syndrome_bits_batch(code, sampled)
+    result = decode_batch(code, schedule, syndromes)
+    assert result.feasible.all()
+    assert np.array_equal(syndrome_bits_batch(code, result.codes), syndromes)

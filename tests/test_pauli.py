@@ -12,6 +12,7 @@ from convqec.pauli import (
     multiply,
     pauli_from_codes,
     pauli_from_string,
+    paulis_from_table,
     shift,
     support_table,
     symplectic_product,
@@ -199,6 +200,30 @@ def test_commutation_bits_validates_code_matrix():
     assert commutation_bits(np.zeros((0, 4)), table).shape == (0, 1)  # no rows, no values to truncate
     with pytest.raises(ValueError):
         support_table([pauli_from_string("XX")], 4)
+
+
+def test_support_table_places_patterns_at_offsets():
+    """Placed patterns give the table of the shifted operators, ordered by
+    offset with ties in pattern order."""
+    xz, y, zxxz = (pauli_from_string(s) for s in ("XZ", "Y", "ZXXZ"))
+    placed = support_table([xz, y, zxxz], 9, [[0, 5], np.array([2, 8]), range(0, 6, 5)])
+    shifted = [shift(xz, 0, 9), shift(zxxz, 0, 9), shift(y, 2, 9), shift(xz, 5, 9), shift(zxxz, 5, 9),
+               shift(y, 8, 9)]
+    assert placed == support_table(shifted, 9)
+    assert paulis_from_table(placed) == tuple(shifted)
+    assert support_table([xz, y], 9, [[], []]).qubits.shape[1] == 0
+    for offsets in ([[-1], [0]], [[0], [9]], [[8], [0]]):
+        with pytest.raises(ValueError, match="every placed operator must lie within 9 qubits"):
+            support_table([xz, y], 9, offsets)
+    with pytest.raises(ValueError):
+        support_table([xz, y], 9, [[0]])  # one sequence of offsets per operator
+
+
+def test_paulis_from_table_inverts_support_table():
+    rng = np.random.default_rng(21)
+    ops = tuple(_random_pauli(rng, 13) for _ in range(20)) + (identity(13), pauli_from_string("I" * 12 + "Y"))
+    assert paulis_from_table(support_table(ops, 13)) == ops
+    assert paulis_from_table(support_table([identity(4)] * 2, 4)) == (identity(4),) * 2
 
 
 def test_pauli_rejects_bad_sizes():

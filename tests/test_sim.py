@@ -127,6 +127,21 @@ def test_run_trials_random_ties_peak_bounded():
     assert peak / (10 * 4096) <= 112
 
 
+def test_paper_scale_code_and_trials_stay_linear_in_memory():
+    """A code is its two support tables, O(N): at N = 20000 the code, its
+    channel and four Monte Carlo trials, residual check included, peak under
+    64 MB traced, and no path on the way builds an n-bit operator."""
+    tracemalloc.start()
+    code = build_code(20_000)
+    schedule = depolarizing(code.n, 0.02)
+    stats = run_trials(code, schedule, 4, master_seed=5)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert stats.trials == 4
+    assert peak < 64 * 2 ** 20
+    assert not {"generators", "logical_x", "logical_z"} & set(vars(code))
+
+
 def test_deterministic_run_trials_computes_no_log_likelihood(monkeypatch):
     """run_trials reads only codes and flags, so a log-likelihood it never
     reads is never computed, and its counts do not change."""
