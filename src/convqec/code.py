@@ -60,12 +60,17 @@ class ConvolutionalCode:
         return paulis_from_table(self.generator_table)
 
     @cached_property
+    def _logicals(self) -> tuple[Pauli, ...]:
+        """X1, Z1, X2, Z2, ..., built once for both logical_x and logical_z."""
+        return paulis_from_table(self.logical_table)
+
+    @cached_property
     def logical_x(self) -> tuple[Pauli, ...]:
-        return paulis_from_table(self.logical_table)[0::2]
+        return self._logicals[0::2]
 
     @cached_property
     def logical_z(self) -> tuple[Pauli, ...]:
-        return paulis_from_table(self.logical_table)[1::2]
+        return self._logicals[1::2]
 
 
 @dataclass(frozen=True)

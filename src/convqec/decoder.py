@@ -34,8 +34,11 @@ that class to a successor class, is maximised over classes and broadcast to
 the 16 new survivors with their pair metrics.  Each class holds exactly one
 survivor per successor class, so the sequential recursion only needs the
 best sum of each successor class, four numbers per trial, advanced by a
-max-plus product whose tables are computed up front per chunk of stages;
-with one trial a stage is two numpy calls.  One vectorised pass per chunk
+max-plus product x' = max(K, M x).  Such maps compose associatively, so for
+small batches (one trial included) a chunk of up to 1024 stages runs as a
+blocked scan in about 4 sqrt(n) numpy calls instead of two per stage
+(``_scan``); larger batches step through the stages with each numpy call
+covering every trial.  One vectorised pass per chunk
 then rebuilds the survivor metrics and records which survivors and classes
 attained their maxima, and a choice pass (``_choices``, or
 ``_random_choices`` for random ties) turns that into decision words, a
@@ -88,6 +91,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -264,20 +268,99 @@ def _random_choices(tab: _TrellisTables, seg: _Segments, nibs: np.ndarray, flags
     return words[..., tab.order]
 
 
-# (stage, trial) pairs per chunk of _sweep, at most 256 stages; _RANDOM_CHUNK when each pair carries
-# 1024 random draws (~50 KB of temporaries), which is also how many trials decode_batch decodes at once
+# (stage, trial) pairs per chunk of _sweep; _RANDOM_CHUNK when each pair carries 1024 random
+# draws (~50 KB of temporaries), which is also how many trials decode_batch decodes at once
 _CHUNK = 1 << 12
 _RANDOM_CHUNK = _CHUNK // 64
-# trials up to which each (stage, trial) gets its own [M | K] table in _sweep
-_TABLE_TRIALS = 8
+# stages per chunk at most, reached by 1 to 4 deterministic trials: _scan's ~4 sqrt(n) numpy calls
+# per chunk then cost a bounded amount per stage, so decode time stays linear in N (with chunks of
+# 4096 stages time(2000)/time(1000) read 1.6-1.7), and one trial at N = 2000 ran no slower
+_CHUNK_STAGES = 1 << 10
+# trials up to which _sweep runs a chunk's stage recursion as the blocked scan of _scan: it beat
+# the per-stage slab loop at every N from 30 to 2000 up to 12 trials and broke even near 16
+_TABLE_TRIALS = 12
+
+
+def _scan(cosets: np.ndarray, pairs: np.ndarray, x: np.ndarray) -> None:
+    """x[:, i] = max(K_i, M_i x[:, i-1]) for i = 1..n-1, written into ``x``
+    (4, n, B) whose column 0 is given, by a blocked max-plus scan.  The maps
+    come from the coset maxima ``cosets`` C (4, 4, n, B) [w, v, i, b] and the
+    pair metrics ``pairs`` P (n+1, 4, 4) [i, v, w] as in :func:`_sweep`:
+    M_i [w, w'] = max_v C_i[w, v] + P_i[v, w'] and K_i = max_v C_i + DEAD.
+
+    With a constant 0 appended to x, a stage is the max-plus product with
+    the 5x5 matrix A = [M K; 0 0], and such products compose associatively
+    (Fettweis and Meyr 1989).  The n-1 maps are cut into S segments of
+    L = ceil(sqrt(n-1)) stages, the last one padded.  Then, in about 2L + 2S
+    numpy calls instead of 2n:
+      * segment prefixes: L-1 steps build the prefix products of every
+        segment at once, prefix_l = A_l prefix_{l-1} across segments and
+        trials;
+      * boundary pass: one sequential pass over the S segment boundaries
+        applies each segment's whole product to the x entering it;
+      * apply pass: one vectorised pass applies every prefix to the x
+        entering its segment.
+
+    Exactness.  Every entry and every x is at most 0, so the zero row keeps
+    the appended coordinate at max(0, x) = 0, and each product gives x bit
+    for bit, dead classes included, with no clamp: the integer sums are
+    exact unless they leave int64, and they cannot.  M >= -5 * 2^59 (a
+    triple and a pair of dead letters) and K >= -4 * 2^59; a prefix entry
+    is at least the K of its last stage (through the 0 coordinate) or, at
+    its first stage, an entry of M, so every sum stays at or above
+    -10 * 2^59.  The padded stages hold 0 and only feed prefixes that are
+    never read.
+
+    Layout: maps[c, r, l, s, b] holds entry [r, c] of the map of stage
+    1 + s*L + l, overwritten by its segment's prefix product up to it.  A
+    product reduces over the leading axis, and a step's (segment, trial)
+    pairs are contiguous, which ran about 1.7x faster than stage order at
+    B = 2.
+    """
+    _, _, n, B = cosets.shape
+    m = n - 1
+    if m < 1:
+        return
+    L = isqrt(m - 1) + 1
+    S = -(-m // L)
+    # M^T [w', w] and K [w] of each stage in stage order, then the padding
+    flat = np.empty((5, 4, S * L, B), dtype=np.int64)
+    stages, term = flat[:4, :, :m], np.empty((4, 4, m, B), dtype=np.int64)
+    for v in range(4):
+        np.add(cosets[:, v, 1:], pairs[1:n, v].T[:, None, :, None], out=term if v else stages)
+        if v:
+            np.maximum(stages, term, out=stages)
+    del term
+    np.maximum.reduce(cosets[:, :, 1:], axis=1, out=flat[4, :, :m])
+    flat[4, :, :m] += DEAD_METRIC
+    flat[:, :, m:] = 0
+    # maps[c, r, l, s, b] with (s, b) contiguous, and the zero row r = 4
+    maps = np.zeros((5, 5, L, S, B), dtype=np.int64)
+    maps[:, :4] = flat.reshape(5, 4, S, L, B).swapaxes(2, 3)
+    del flat
+    for l in range(1, L):
+        # prefix_l [r, c] = max_k A_l[r, k] + prefix_{l-1}[k, c]
+        sums = maps[:, :4, None, l] + maps[:, :, l - 1].swapaxes(0, 1)[:, None]
+        np.maximum.reduce(sums, axis=0, out=maps[:, :4, l].swapaxes(0, 1))
+    entry = np.zeros((5, S, B), dtype=np.int64)  # x entering each segment, then its 0
+    entry[:4, 0] = x[:, 0]
+    ends = maps[:, :4, L - 1]
+    step = np.empty((5, 4, B), dtype=np.int64)
+    for s in range(S - 1):
+        np.add(ends[:, :, s], entry[:, s, None], out=step)
+        np.maximum.reduce(step, axis=0, out=entry[:4, s + 1])
+    np.add(maps[:, :4], entry[:, None, None], out=maps[:, :4])
+    x[:, 1:] = np.maximum.reduce(maps[:, :4], axis=0).swapaxes(1, 2).reshape(4, S * L, B)[:, :m]
 
 
 def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None, live=None):
     """Forward and choice passes over a (B, 4N+2) 0/1 syndrome matrix.
 
     Returns the final (B, 16) survivor metrics at positions and the decision
-    words back (N, 4, B) of each successor class.  The stages run a chunk at
-    a time, so temporaries stay bounded whatever N and B.
+    words back (N, 4, B) of each successor class.  The stages run a chunk of
+    _CHUNK (stage, trial) pairs, at most _CHUNK_STAGES stages, at a time
+    (_RANDOM_CHUNK pairs with ``rngs``), so temporaries stay bounded
+    whatever N and B.
 
     The layout is class-major (see the module docstring): the axes of
     length 4 lead and a chunk's (stage, trial) pairs j = i*B + b trail.  The
@@ -291,10 +374,11 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
     the coset maxima [w, v] of that stage's nibble, x' = max_v C[w, v] +
     group[v] is the max-plus x' = max(K, M x), M = C P and K = max_v C +
     DEAD, exactly: no term falls below -9 * 2^59, so int64 holds every sum.
-    Up to _TABLE_TRIALS trials a stage is two numpy calls on per-(stage,
-    trial) [M | K] tables; larger batches go through P and C with maxima
-    over (4, 4, B) slabs instead of building a 4x4x4 product per trial.
-    After the loop one vectorised pass per chunk rebuilds the entering
+    Up to _TABLE_TRIALS trials :func:`_scan` runs a chunk's recursion as a
+    blocked max-plus scan in about 4 sqrt(n) numpy calls; larger batches
+    step through P and C one stage at a time with maxima over (4, 4, B)
+    slabs, which beats building a 5x5 map per (stage, trial).
+    After the recursion one vectorised pass per chunk rebuilds the entering
     metrics [v, w, i, b] and the flags (2, 4, 4, n*B), which survivors
     attain their class maximum and which classes v attain the best sum of
     each successor class w, that the choice pass reads.  With ``rngs``,
@@ -305,7 +389,7 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
     nibs = _nibbles(syndromes)
     N, B = nibs.shape
     back = np.empty((N, 4 if rngs is None else 16, B), dtype=np.uint16)
-    step = max(1, min(256, (_CHUNK if rngs is None else _RANDOM_CHUNK) // max(B, 1)))
+    step = max(1, min(_CHUNK_STAGES, (_CHUNK if rngs is None else _RANDOM_CHUNK) // max(B, 1)))
     size = min(step, N) * B
     # row 0 holds the survivor metrics entering the chunk, row n those leaving it
     entering_buf = np.empty((4, 4, min(step, N) + 1, B), dtype=np.int64)
@@ -332,21 +416,7 @@ def _sweep(tab: _TrellisTables, mt: np.ndarray, syndromes: np.ndarray, rngs=None
         cosets[:, :, 0] += group[:, 0]
         np.maximum.reduce(cosets[:, :, 0], axis=1, out=x[:, 0])
         if B <= _TABLE_TRIALS:
-            # rows[i] holds the best sum of each successor class after stage i, then a 0
-            rows = np.zeros((n, B, 1, 5), dtype=np.int64)
-            rows[0, :, 0, :4] = x[:, 0].T
-            table = np.empty((n - 1, B, 4, 5), dtype=np.int64)
-            # [v, i, b, w, w'] = C[w, v] + P[v, w'], maximised over v
-            products = cosets[:, :, 1:].transpose(1, 2, 3, 0)[..., None]
-            products = products + seg.pairs[1:n, :, None, None].swapaxes(0, 1)
-            np.maximum.reduce(products, axis=0, out=table[..., :4])
-            np.maximum.reduce(cosets[:, :, 1:], axis=1, out=table[..., 4].transpose(2, 0, 1))
-            table[..., 4] += DEAD_METRIC
-            row_sums = np.empty((B, 4, 5), dtype=np.int64)
-            for row, prev, new in zip(table, rows, rows[1:, :, 0, :4]):
-                np.add(row, prev, out=row_sums)
-                np.maximum.reduce(row_sums, axis=2, out=new)
-            x[:, 1:] = rows[1:, :, 0, :4].transpose(2, 0, 1)
+            _scan(cosets, seg.pairs, x)
         elif n > 1:
             sums, to_class = np.empty((4, 4, B), dtype=np.int64), np.empty((4, B), dtype=np.int64)
             for i in range(1, n):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from convqec import code as code_module
 from convqec.code import (
     ConvolutionalCode,
     Syndrome,
@@ -14,7 +15,15 @@ from convqec.code import (
     syndrome_of,
     verify_code,
 )
-from convqec.pauli import Pauli, identity, multiply, pauli_from_string, shift, support_table
+from convqec.pauli import (
+    Pauli,
+    identity,
+    multiply,
+    pauli_from_string,
+    paulis_from_table,
+    shift,
+    support_table,
+)
 
 N1_GENERATORS = ["XZIIIII", "ZXXZIII", "IZXXZII", "IIZXXZI", "IIIZXXZ", "IIIIIZX"]
 
@@ -95,6 +104,22 @@ def test_build_code_tables_match_shifted_operators(blocks):
     assert (code.n, code.info_positions) == (n, tuple(info))
     assert code.generators == tuple(generators)
     assert (code.logical_x, code.logical_z) == (tuple(logical_x), tuple(logical_z))
+
+
+def test_logicals_are_built_once(monkeypatch):
+    """Reading logical_x and logical_z builds the 2N logical Paulis once."""
+    calls = []
+
+    def counting(table):
+        calls.append(table)
+        return paulis_from_table(table)
+
+    monkeypatch.setattr(code_module, "paulis_from_table", counting)
+    code = build_code(7)
+    _, logical_x, logical_z = _shifted_operators(7)
+    assert (code.logical_x, code.logical_z) == (tuple(logical_x), tuple(logical_z))
+    assert code.logical_x == tuple(logical_x)
+    assert len(calls) == 1 and calls[0] is code.logical_table
 
 
 def test_code_equality_and_hash_compare_tables():

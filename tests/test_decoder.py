@@ -8,10 +8,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from convqec import decoder
 from convqec.channel import (
+    DEAD_METRIC,
     depolarizing,
     log_likelihoods,
     make_rng,
+    metric_table,
     sample_error,
     sample_error_codes,
     schedule_from_probs,
@@ -608,11 +611,14 @@ def chunk_channels(n, rng):
 
 def chunk_crossing_digest():
     """sha256 over decoder outputs whose stages span several chunks of the
-    sweep (256 stages per chunk for one trial, 64 in random mode, fewer as
-    the batch grows): viterbi_decode in both tie modes around and past the
-    chunk edges, decode_batch at batch sizes around the chunk-size steps,
-    and survivor_merge_lag, on sampled and uniformly random (often
-    infeasible) syndromes.  Only uniform draws feed the grid."""
+    sweep (64 stages per chunk for one trial in random mode, 4096 // B for
+    B > 4 deterministic trials): viterbi_decode in both tie modes, whose random
+    mode crosses chunk edges here, decode_batch at batch sizes around the
+    chunk-size steps, and survivor_merge_lag, on sampled and uniformly
+    random (often infeasible) syndromes.  One deterministic trial takes
+    1024 stages per chunk, more than any length here, so its edges are
+    covered by test_single_trial_decode_across_chunks.  Only uniform draws
+    feed the grid."""
     h = hashlib.sha256()
     rng = np.random.default_rng(77)
     for blocks in (64, 65, 256, 257, 600):
@@ -650,6 +656,81 @@ CHUNK_CROSSING_DIGEST = "a814995d5d2a69c20fa595f5336bb68c7f44b4251e85b230c9f0b46
 
 def test_decoder_chunk_crossing_digest():
     assert chunk_crossing_digest() == CHUNK_CROSSING_DIGEST
+
+
+@pytest.mark.parametrize("blocks", [1023, 1024, 1025, 4095, 4096, 4097, 8200])
+def test_single_trial_decode_across_chunks(blocks):
+    """One deterministic trial runs 1024 stages per chunk through the scan;
+    20 trials run the per-stage slab loop, 204 stages per chunk.
+    viterbi_decode must agree with rows of such a batch at and around the
+    single trial's chunk edges, up to eight chunks."""
+    assert 20 > decoder._TABLE_TRIALS and decoder._CHUNK_STAGES == 1024
+    code = build_code(blocks)
+    rng = np.random.default_rng(blocks)
+    levels = np.array([[0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0.5, 0.25, 0.0, 0.25], [1.0, 0.0, 0.0, 0.0]])
+    schedule = schedule_from_probs(levels[(rng.random(code.n) * len(levels)).astype(int)])
+    sampled = syndrome_bits_batch(code, sample_error_codes(schedule, rng, 18))
+    uniform = rng.random((2, 4 * blocks + 2)) < 0.5
+    syndromes = np.concatenate([sampled, uniform]).astype(np.uint8)
+    batch = decode_batch(code, schedule, syndromes)
+    for t in (0, 1, 19):
+        syn = Syndrome(tuple(int(b) for b in syndromes[t]))
+        if not batch.feasible[t]:
+            with pytest.raises(InfeasibleSyndromeError):
+                viterbi_decode(code, schedule, syn)
+            continue
+        result = viterbi_decode(code, schedule, syn)
+        assert list(result.error.codes()) == batch.codes[t].tolist()
+        assert result.tie_broken == bool(batch.tie_broken[t])
+
+
+def scan_channels(n, rng):
+    """Channels whose stage maps hold dead entries: zero-probability letters,
+    p = 0 (only I lives) and p = 1 (I is dead)."""
+    levels = np.array([[0.5, 0.25, 0.0, 0.25], [0.0, 0.0, 1.0, 0.0], [0.9, 0.0, 0.0, 0.1], [0.25] * 4])
+    yield random_schedule(n, rng, zero_fraction=0.4)
+    yield schedule_from_probs(levels[(rng.random(n) * len(levels)).astype(int)])
+    yield depolarizing(n, 0.0)
+    yield depolarizing(n, 1.0)
+
+
+def sequential_x(cosets, pairs, x0):
+    """Reference for the scan: x_i = max(K_i, M_i x_{i-1}) one stage at a time,
+    M_i [w, w'] = max_v C_i[w, v] + P_i[v, w'] and K_i = max_v C_i + DEAD."""
+    xs = [x0]
+    for i in range(1, cosets.shape[2]):
+        m = (cosets[:, :, None, i] + pairs[i][None, :, :, None]).max(axis=1)  # [w, w', b]
+        k = cosets[:, :, i].max(axis=1) + DEAD_METRIC
+        xs.append(np.maximum(k, (m + xs[-1][None]).max(axis=1)))
+    return np.stack(xs, axis=1)
+
+
+@pytest.mark.parametrize("trials", [1, 2, decoder._TABLE_TRIALS])
+def test_scan_matches_sequential_recursion(trials):
+    """The blocked scan gives every entry of x at every stage bit for bit,
+    dead classes included, on real coset and pair metrics.  Stage counts 1
+    and 2 (no map, one map), 64, 65 and 66 (L^2 - 1, L^2 and L^2 + 1 maps
+    for L = 8: segments of 8 with one padded stage, exactly full, and
+    segments of 9), and one past _CHUNK, more stages than any chunk holds."""
+    rng = np.random.default_rng(trials)
+    tab, dead = decoder._tables(), 0
+    for stages in (1, 2, 64, 65, 66, decoder._CHUNK + 1):
+        code = build_code(stages)
+        for schedule in scan_channels(code.n, rng):
+            seg = decoder._segments(tab, metric_table(schedule))
+            nibs = rng.integers(0, 16, (stages, trials))
+            # [w, v, i, b]: best of coset nibble ^ (4w + v), as _sweep takes it
+            cosets = seg.best[np.arange(stages)[:, None, None], nibs[..., None] ^ np.arange(16)]
+            cosets = np.ascontiguousarray(cosets.transpose(2, 0, 1)).reshape(4, 4, stages, trials)
+            live = -rng.integers(0, 1 << 40, (4, trials))
+            group = np.where(rng.random((4, trials)) < 0.3, DEAD_METRIC, live)
+            x = np.empty((4, stages, trials), dtype=np.int64)
+            x[:, 0] = (cosets[:, :, 0] + group).max(axis=1)
+            decoder._scan(cosets, seg.pairs, x)
+            expected = sequential_x(cosets, seg.pairs, x[:, 0])
+            np.testing.assert_array_equal(x, expected)
+            dead += int((x[:, 1:] <= DEAD_METRIC).sum())
+    assert dead  # the channels make dead classes, whose x the scan must also give exactly
 
 
 def large_batch_digest():
